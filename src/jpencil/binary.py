@@ -19,9 +19,9 @@ prescribed multiplicity.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, gcd as _int_gcd
+from math import comb
 
-from .poly import FpElement, MultiPoly, poly_gcd, scalar_one_like
+from .poly import MultiPoly, poly_gcd, primitive_scale, scalar_one_like
 from .linalg import det_cofactor
 
 
@@ -74,18 +74,7 @@ class BinaryForm:
         F_p: first nonzero entry scaled to 1.
         """
         first = next(c for c in self.coeffs if c)
-        if isinstance(first, FpElement):
-            inv = 1 / first
-            return BinaryForm(tuple(c * inv for c in self.coeffs))
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-        num_gcd = 0
-        for c in self.coeffs:
-            num_gcd = _int_gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-        scale = Fraction(den_lcm, num_gcd)
-        if first < 0:
-            scale = -scale
+        scale = primitive_scale(self.coeffs, first)
         return BinaryForm(tuple(c * scale for c in self.coeffs))
 
     def __eq__(self, other):

@@ -34,6 +34,7 @@ from .exterior import (
     descends_check,
     euler_field,
     exterior_derivative,
+    form_items,
     form_to_text,
     integrability_check,
     interior_product,
@@ -53,6 +54,15 @@ DEFAULT_PRIMES = (5, 7, 11, 13)
 
 PROBE_TARGETS = ("sing-omega4", "sing-omega-bar", "sing-d-omega-bar",
                  "base-locus", "delta-sing")
+
+# the strata whose union each probe target's locus is compared with;
+# sing-d-omega-bar is compared with the expected count 1 instead
+_PROBE_STRATA = {
+    "base-locus": ("TBAR",),
+    "sing-omega4": ("TBAR", "NBAR"),
+    "delta-sing": ("TBAR", "NBAR"),
+    "sing-omega-bar": ("P1P", "X2", "X3"),
+}
 
 
 # -- report plumbing -------------------------------------------------------
@@ -86,15 +96,6 @@ def _emit(items, as_json):
     else:
         for key, value in items:
             print("%s: %s" % (key, _fmt(value)))
-
-
-def _form_items(omega, var_names):
-    """The parsable tail block of a report: vars line plus coeff lines."""
-    items = [("vars", " ".join(var_names))]
-    for i, name in enumerate(var_names):
-        coeff = omega.terms.get((i,), MultiPoly.zero(omega.arity))
-        items.append(("coeff %s" % name, polytext.poly_to_text(coeff, var_names)))
-    return items
 
 
 def _write_form(path, omega, var_names):
@@ -220,7 +221,7 @@ def _cmd_build_rational(args):
              ("F1", polytext.poly_to_text(F1, var_names)),
              ("F2", polytext.poly_to_text(F2, var_names))]
     items += _certification_items(omega)
-    items += _form_items(omega, var_names)
+    items += form_items(omega, var_names)
     if args.out:
         _write_form(args.out, omega, var_names)
         items.insert(3, ("out", args.out))
@@ -238,7 +239,7 @@ def _cmd_build_log(args):
              ("factors", len(factors)),
              ("weights", ",".join(str(w) for w in weights))]
     items += _certification_items(omega)
-    items += _form_items(omega, var_names)
+    items += form_items(omega, var_names)
     if args.out:
         _write_form(args.out, omega, var_names)
         items.insert(3, ("out", args.out))
@@ -255,7 +256,7 @@ def _cmd_build_pullback(args):
              ("matrixRows", len(matrix)),
              ("matrixCols", len(matrix[0]))]
     items += _certification_items(omega)
-    items += _form_items(omega, new_names)
+    items += form_items(omega, new_names)
     if args.out:
         _write_form(args.out, omega, new_names)
         items.insert(4, ("out", args.out))
@@ -287,6 +288,7 @@ def _cmd_check(args):
 # -- exceptional pipeline --------------------------------------------------
 
 _A_NAMES = ("a0", "a1", "a2", "a3")
+_QUARTIC_NAMES = ("a0", "a1", "a2", "a3", "a4")
 _X_NAMES = ("x0", "x1", "x2", "x3")
 
 
@@ -302,7 +304,7 @@ def _cmd_exc_derive(args):
     for i, name in enumerate(_A_NAMES):
         coeff = report.omega_h.terms.get((i,), MultiPoly.zero(4))
         items.append(("hyperplane %s" % name, polytext.poly_to_text(coeff, _A_NAMES)))
-    items += _form_items(report.omega_bar, _A_NAMES)
+    items += form_items(report.omega_bar, _A_NAMES)
     if args.out:
         _write_form(args.out, report.omega_bar, _A_NAMES)
         items.insert(1, ("out", args.out))
@@ -317,7 +319,7 @@ def _cmd_exc_paper_form(args):
              ("integrable", integrability_check(omega).ok),
              ("coefficientDegree", omega.coefficient_degrees()[0]),
              ("saturationFactorDegree", sat.factor.total_degree())]
-    items += _form_items(omega, _X_NAMES)
+    items += form_items(omega, _X_NAMES)
     if args.out:
         _write_form(args.out, omega, _X_NAMES)
         items.insert(1, ("out", args.out))
@@ -342,7 +344,7 @@ def _cmd_exc_fields(args):
         items.append((name, all(c.is_zero for c in contracted.terms.values())))
     items += _certification_items(omega)
     items.append(("saturationFactor", polytext.poly_to_text(sat.factor, _X_NAMES)))
-    items += _form_items(omega, _X_NAMES)
+    items += form_items(omega, _X_NAMES)
     ok = all(value is True for key, value in items
              if key.startswith(("bracket", "annihilates")) or key in ("descends", "integrable"))
     return items, 0 if ok else 4
@@ -391,63 +393,58 @@ def _witness_items(label, points):
     return items
 
 
-def _probe_comparison(locus, strata, p):
-    report = compare_sets(locus, strata)
-    items = [
-        ("prime", p),
-        ("locusCount", len(locus)),
-        ("stratumCount", len(strata)),
-        ("equal", report.equal),
-    ]
+def _probe_input(target):
+    """The polynomials whose common zeros a probe target enumerates, with
+    the variable names the other commands print the same object in."""
+    if target == "base-locus":
+        inv = binary.invariant_polys()
+        return [inv.Q, inv.C], _QUARTIC_NAMES
+    if target == "sing-omega4":
+        return build_omega4().coefficients(), _QUARTIC_NAMES
+    if target == "delta-sing":
+        D = binary.invariant_polys().D
+        return [D] + [D.partial_derivative(i) for i in range(5)], _QUARTIC_NAMES
+    if target == "sing-omega-bar":
+        return derive_omega_bar().omega_bar.coefficients(), _A_NAMES
+    if target == "sing-d-omega-bar":
+        return list(exterior_derivative(reference_form()).terms.values()), _X_NAMES
+    raise ValueError("unknown probe target %r" % target)
+
+
+def _probe_one(target, polys, names, p):
+    """One prime block: the locus against its strata, or for
+    sing-d-omega-bar against the expected count 1.  Every input that
+    vanishes identically mod p (a bad reduction, which imposes no
+    condition on the locus) is named before the witnesses."""
+    locus = zero_locus(polys, len(names) - 1, p)
+    items = [("prime", p), ("locusCount", len(locus))]
+    vanishing = [("vanishesModP", polytext.poly_to_text(P, names))
+                 for P in polys if P.reduce_mod(p).is_zero]
+    if target == "sing-d-omega-bar":
+        equal = len(locus) == 1
+        items += [("expectedCount", 1), ("equal", equal)] + vanishing
+        if not equal:
+            items += _witness_items("witness", locus)
+        return items, equal
+    strata = [stratum_points(name, p) for name in _PROBE_STRATA[target]]
+    union = strata[0]
+    for other in strata[1:]:
+        union = union.union(other)
+    report = compare_sets(locus, union)
+    items += [("stratumCount", len(union)), ("equal", report.equal)] + vanishing
     if not report.equal:
         items += _witness_items("onlyLocus", report.only_a)
         items += _witness_items("onlyStratum", report.only_b)
     return items, report.equal
 
 
-def _probe_one(target, p):
-    if target == "base-locus":
-        inv = binary.invariant_polys()
-        locus = zero_locus([inv.Q, inv.C], 4, p)
-        strata = stratum_points("TBAR", p)
-        return _probe_comparison(locus, strata, p)
-    if target == "sing-omega4":
-        locus = zero_locus(list(build_omega4().coefficients()), 4, p)
-        strata = stratum_points("TBAR", p).union(stratum_points("NBAR", p))
-        return _probe_comparison(locus, strata, p)
-    if target == "delta-sing":
-        inv = binary.invariant_polys()
-        polys = [inv.D] + [inv.D.partial_derivative(i) for i in range(5)]
-        locus = zero_locus(polys, 4, p)
-        strata = stratum_points("TBAR", p).union(stratum_points("NBAR", p))
-        return _probe_comparison(locus, strata, p)
-    if target == "sing-omega-bar":
-        bar = derive_omega_bar().omega_bar
-        locus = zero_locus(list(bar.coefficients()), 3, p)
-        strata = stratum_points("P1P", p).union(stratum_points("X2", p)).union(
-            stratum_points("X3", p))
-        return _probe_comparison(locus, strata, p)
-    if target == "sing-d-omega-bar":
-        d_omega = exterior_derivative(reference_form())
-        locus = zero_locus(list(d_omega.terms.values()), 3, p)
-        items = [
-            ("prime", p),
-            ("locusCount", len(locus)),
-            ("expectedCount", 1),
-            ("equal", len(locus) == 1),
-        ]
-        if len(locus) != 1:
-            items += _witness_items("witness", locus)
-        return items, len(locus) == 1
-    raise ValueError("unknown probe target %r" % target)
-
-
 def _cmd_probe(args):
     primes = [args.prime] if args.prime else list(DEFAULT_PRIMES)
+    polys, names = _probe_input(args.target)
     items = [("command", "probe"), ("target", args.target)]
     all_ok = True
     for p in primes:
-        block, ok = _probe_one(args.target, p)
+        block, ok = _probe_one(args.target, polys, names, p)
         items += block
         all_ok = all_ok and ok
     return items, 0 if all_ok else 4
@@ -461,8 +458,6 @@ def build_parser():
         description="exact certificates for the quartic pencil and its exceptional form")
     parser.add_argument("--json", action="store_true",
                         help="emit the report as one JSON document")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized suites; the commands here are deterministic and ignore it")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("invariants", help="Q, C, D, j and the root pattern of a quartic")

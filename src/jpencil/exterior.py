@@ -10,9 +10,8 @@ gcd.  Values are immutable; operations are pure.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd as integer_gcd
 
-from .poly import FpElement, MultiPoly, coefficient_gcd, exact_divide
+from .poly import FpElement, MultiPoly, coefficient_gcd, exact_divide, primitive_scale
 from . import polytext
 
 
@@ -303,29 +302,13 @@ def integrability_check(omega):
 
 
 def _normalize_form(omega):
-    """Scale to primitive integer coefficients, first nonzero coefficient
-    polynomial having positive leading coefficient.  Returns (form, scale)
-    with form == omega * scale."""
+    """Scale by the primitive scale of all coefficients, with the leading
+    coefficient of the first nonzero component as pivot.  Returns (form,
+    scale) with form == omega * scale."""
     if omega.is_zero:
         return omega, Fraction(1)
-    first_idx = min(omega.terms)
-    sample = next(iter(omega.terms[first_idx].terms.values()))
-    if isinstance(sample, FpElement):
-        lead = omega.terms[first_idx].leading_coefficient()
-        scale = 1 / lead
-        return omega * scale, scale
-    num_gcd = 0
-    den_lcm = 1
-    for coeff in omega.terms.values():
-        for c in coeff.terms.values():
-            den_lcm = den_lcm * c.denominator // integer_gcd(den_lcm, c.denominator)
-    for coeff in omega.terms.values():
-        for c in coeff.terms.values():
-            num_gcd = integer_gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-    scale = Fraction(den_lcm, num_gcd)
-    lead = omega.terms[first_idx].leading_coefficient()
-    if lead * scale < 0:
-        scale = -scale
+    pivot = omega.terms[min(omega.terms)].leading_coefficient()
+    scale = primitive_scale([c for P in omega.terms.values() for c in P.terms.values()], pivot)
     return omega * scale, scale
 
 
@@ -378,17 +361,23 @@ def pullback_form(matrix, eta, new_arity=None):
 
 # -- 1-form file format ----------------------------------------------------
 
-def form_to_text(omega, var_names):
-    """Serialize a 1-form: a vars line, then one coeff line per variable."""
+def form_items(omega, var_names):
+    """The (key, text) pairs of a 1-form: ("vars", the names), then one
+    ("coeff NAME", polynomial) pair per variable."""
     if omega.degree != 1:
         raise ValueError("the file format covers 1-forms")
     if len(var_names) != omega.arity:
         raise ValueError("got %d names for arity %d" % (len(var_names), omega.arity))
-    lines = ["vars: %s" % " ".join(var_names)]
+    items = [("vars", " ".join(var_names))]
     for i, name in enumerate(var_names):
         coeff = omega.terms.get((i,), MultiPoly.zero(omega.arity))
-        lines.append("coeff %s: %s" % (name, polytext.poly_to_text(coeff, var_names)))
-    return "\n".join(lines) + "\n"
+        items.append(("coeff %s" % name, polytext.poly_to_text(coeff, var_names)))
+    return items
+
+
+def form_to_text(omega, var_names):
+    """Serialize a 1-form: a vars line, then one coeff line per variable."""
+    return "".join("%s: %s\n" % item for item in form_items(omega, var_names))
 
 
 def parse_form_text(text):

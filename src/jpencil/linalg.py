@@ -1,34 +1,31 @@
 """Exact linear algebra over the rationals.
 
-Two elimination paths, used to cross-check each other: fraction-free Bareiss
-elimination over the integers for ranks, and Gauss-Jordan reduction over
-Fraction for reduced echelon forms and nullspace bases.  A small generic
-determinant (expansion by minors with memoization) covers matrices whose
-entries are polynomials.
+One elimination path: fraction-free Bareiss elimination over the integers,
+for ranks.  A small generic determinant (expansion by minors with
+memoization) covers matrices whose entries are polynomials.
 """
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+
+from .poly import primitive_scale
 
 
 def _integer_rows(rows):
-    """Scale each row by its denominator lcm; rank is unchanged."""
+    """The nonzero rows, each scaled to coprime integers; rank is unchanged."""
     out = []
     for row in rows:
-        lcm = 1
-        for c in row:
-            d = c.denominator if isinstance(c, Fraction) else 1
-            lcm = lcm * d // _int_gcd(lcm, d)
-        out.append([int(c * lcm) for c in row])
+        if any(row):
+            scale = primitive_scale(row, 1)
+            out.append([int(c * scale) for c in row])
     return out
 
 
 def bareiss_rank(rows):
     """Rank by fraction-free elimination; all intermediate entries stay
     integral (they are minors of the input), divisions are exact."""
-    if not rows:
-        return 0
     m = _integer_rows(rows)
+    if not m:
+        return 0
     n_rows = len(m)
     n_cols = len(m[0])
     rank = 0
@@ -53,56 +50,6 @@ def bareiss_rank(rows):
         if rank == n_rows:
             break
     return rank
-
-
-def rref(rows):
-    """Reduced row echelon form over Fraction; returns (rref_rows, pivot_cols)."""
-    m = [[Fraction(c) for c in row] for row in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if m[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [c * inv for c in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == n_rows:
-            break
-    return m, pivots
-
-
-def nullspace(rows, n_cols):
-    """Basis of the right kernel, one vector per free column, in column order.
-
-    The vector for free column j has entry 1 at j and minus the reduced
-    echelon entries at the pivot columns.
-    """
-    if not rows:
-        return [[Fraction(1 if i == j else 0) for i in range(n_cols)] for j in range(n_cols)]
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
-    basis = []
-    for j in free_cols:
-        vec = [Fraction(0)] * n_cols
-        vec[j] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][j]
-        basis.append(vec)
-    return basis
 
 
 def mat_vec(rows, vec):

@@ -25,17 +25,32 @@ class FpElement:
         self.p = p
         self.v = v % p
 
+    @classmethod
+    def from_rational(cls, c, p):
+        """The image in F_p of an int, a Fraction or an element of F_p itself.
+
+        A denominator divisible by p and an element of another prime field
+        are both ValueErrors.
+        """
+        if isinstance(c, FpElement):
+            if c.p != p:
+                raise ValueError("modulus mismatch: %d vs %d" % (p, c.p))
+            return c
+        if isinstance(c, int):
+            return cls(c, p)
+        if isinstance(c, Fraction):
+            if c.denominator % p == 0:
+                raise ValueError("denominator %d divisible by p=%d" % (c.denominator, p))
+            return cls(c.numerator * pow(c.denominator, -1, p), p)
+        raise TypeError("cannot reduce %r mod %d" % (c, p))
+
     def _coerce(self, other):
         if isinstance(other, FpElement):
             if other.p != self.p:
                 raise ValueError("modulus mismatch: %d vs %d" % (self.p, other.p))
             return other
-        if isinstance(other, int):
-            return FpElement(other, self.p)
-        if isinstance(other, Fraction):
-            if other.denominator % self.p == 0:
-                raise ValueError("denominator divisible by p=%d" % self.p)
-            return FpElement(other.numerator * pow(other.denominator, -1, self.p), self.p)
+        if isinstance(other, (int, Fraction)):
+            return FpElement.from_rational(other, self.p)
         return None
 
     def __add__(self, other):
@@ -108,6 +123,27 @@ def scalar_one_like(c):
     if isinstance(c, FpElement):
         return FpElement(1, c.p)
     return Fraction(1)
+
+
+def primitive_scale(coeffs, pivot):
+    """The scalar s that puts coeffs * s in canonical form up to a scalar.
+
+    F_p (pivot an FpElement): 1/pivot, which makes the pivot 1.  Q: the lcm
+    of the denominators over the gcd of the numerators, which makes the
+    scaled coefficients coprime integers, negated when pivot < 0 so that
+    the pivot comes out positive.  coeffs must hold a nonzero entry; the
+    pivot is the entry to make 1 (F_p), and over Q only its sign is read.
+    """
+    if isinstance(pivot, FpElement):
+        return 1 / pivot
+    # For fractions in lowest terms the content is gcd(numerators) over
+    # lcm(denominators).
+    den_lcm, num_gcd = 1, 0
+    for c in coeffs:
+        den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
+        num_gcd = _int_gcd(num_gcd, c.numerator)
+    scale = Fraction(den_lcm, num_gcd)
+    return -scale if pivot < 0 else scale
 
 
 def grlex_key(exps):
@@ -333,35 +369,25 @@ class MultiPoly:
 
     # -- normal forms ------------------------------------------------------
 
+    def normalization_scale(self):
+        """The scalar s with self * s == self.normalized(): the primitive
+        scale of the coefficients, with the leading coefficient as pivot."""
+        if not self.terms:
+            return Fraction(1)
+        return primitive_scale(self.terms.values(), self.leading_coefficient())
+
     def normalized(self):
         """Canonical representative up to a nonzero scalar.
 
         Rational coefficients: primitive over the integers with positive
         leading coefficient.  F_p coefficients: monic leading coefficient.
         """
-        if not self.terms:
-            return self
-        lead = self.terms[max(self.terms, key=grlex_key)]
-        if isinstance(lead, FpElement):
-            inv = FpElement(1, lead.p) / lead
-            return self * inv
-        den_lcm = 1
-        for c in self.terms.values():
-            den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-        num_gcd = 0
-        for c in self.terms.values():
-            num_gcd = _int_gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-        scale = Fraction(den_lcm, num_gcd)
-        if lead * scale < 0:
-            scale = -scale
-        return self * scale
+        return self * self.normalization_scale()
 
-    def normalization_scale(self):
-        """The scalar s with self * s == self.normalized()."""
-        if not self.terms:
-            return Fraction(1)
-        lead_exps = max(self.terms, key=grlex_key)
-        return self.normalized().terms[lead_exps] / self.terms[lead_exps]
+    def reduce_mod(self, p):
+        """The image in F_p[x], coefficients as FpElement; terms that vanish
+        mod p are dropped.  ValueError as in FpElement.from_rational."""
+        return MultiPoly(self.arity, {e: FpElement.from_rational(c, p) for e, c in self.terms.items()})
 
 
 # -- division and gcd ------------------------------------------------------

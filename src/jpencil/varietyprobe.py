@@ -18,9 +18,6 @@ import itertools
 import os
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
-
-from .poly import FpElement
 
 # |P^4(F_31)| is about 954k and is the intended ceiling
 POINT_CAP = 1000000
@@ -145,21 +142,11 @@ def projective_points(n, p):
 
 def _reduce_poly(poly, p):
     """Terms of poly mod p as (exponent tuple, int) pairs, zeros dropped."""
-    out = []
-    for exps, c in sorted(poly.terms.items()):
-        if isinstance(c, FpElement):
-            if c.p != p:
-                raise BadPrimeError("coefficient lives in F_%d, not F_%d" % (c.p, p))
-            v = c.v
-        else:
-            fr = Fraction(c)
-            if fr.denominator % p == 0:
-                raise BadPrimeError("coefficient denominator %d vanishes mod %d"
-                                    % (fr.denominator, p))
-            v = fr.numerator * pow(fr.denominator, -1, p) % p
-        if v:
-            out.append((exps, v))
-    return out
+    try:
+        reduced = poly.reduce_mod(p)
+    except ValueError as exc:
+        raise BadPrimeError(str(exc)) from None
+    return [(exps, c.v) for exps, c in sorted(reduced.terms.items())]
 
 
 def _power_table(p, maxdeg):

@@ -24,7 +24,7 @@ from jpencil.exterior import (PolyVectorField, descends_check, differential,
                               integrability_check, interior_product,
                               lie_derivative)
 from jpencil.linalg import bareiss_rank, is_zero_vector, mat_vec
-from jpencil.poly import FpElement, MultiPoly, coefficient_gcd
+from jpencil.poly import MultiPoly, coefficient_gcd
 from jpencil.varietyprobe import PointSet, stratum_points, zero_locus
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -213,18 +213,6 @@ def test_criterion_09_double_tangency():
     assert report.multiplicity_exactly_two is True
 
 
-def _reduced_mod(P, p):
-    terms = {}
-    for exps, c in P.terms.items():
-        fr = Fraction(c)
-        if fr.denominator % p == 0:
-            return None
-        v = fr.numerator * pow(fr.denominator, -1, p) % p
-        if v:
-            terms[exps] = FpElement(v, p)
-    return MultiPoly(P.arity, terms)
-
-
 def test_criterion_10_generic_hyperplane_contrast():
     # Unit gcd is certified after reduction mod 5: a nonconstant common
     # factor over Q would stay homogeneous of its full degree mod p and
@@ -240,8 +228,8 @@ def test_criterion_10_generic_hyperplane_contrast():
                 break
         restricted = restrict_to_hyperplane(omega4, inclusion)
         assert not restricted.is_zero
-        reduced = [_reduced_mod(c, 5) for c in restricted.coefficients()]
-        nonzero = [P for P in reduced if P is not None and not P.is_zero]
+        reduced = [c.reduce_mod(5) for c in restricted.coefficients()]
+        nonzero = [P for P in reduced if not P.is_zero]
         assert nonzero
         assert coefficient_gcd(nonzero).total_degree() == 0
 

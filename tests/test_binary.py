@@ -70,6 +70,25 @@ def test_invariants_reference_values():
     assert (inv2.Q, inv2.C, inv2.D) == (3, -1, 0)
 
 
+def test_normalized_ignores_scalar_factors():
+    rng = random.Random(2004)
+    for _ in range(20):
+        coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(5)]
+        if not any(coeffs):
+            continue
+        F = BinaryForm(coeffs)
+        s = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        assert BinaryForm([c * s for c in coeffs]).normalized() == F.normalized()
+        N = F.normalized()
+        assert all(c.denominator == 1 for c in N.coeffs)
+        assert next(c for c in N.coeffs if c) > 0
+        Fp = [FpElement(rng.randint(0, 6), 7) for _ in range(5)]
+        if not any(Fp):
+            continue
+        t = FpElement(rng.randint(1, 6), 7)
+        assert BinaryForm([c * t for c in Fp]).normalized() == BinaryForm(Fp).normalized()
+
+
 def test_invariants_over_fp():
     coeffs = [FpElement(v, 7) for v in (0, 1, 0, 6, 0)]
     inv = invariants_qcd(BinaryForm(coeffs))

@@ -4,11 +4,14 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 from jpencil import cli
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(argv):
@@ -94,6 +97,35 @@ def test_probe_reports_witnesses_on_failure():
     assert "equal: false\n" in out
     assert out.count("witness:") == 6
     assert "witness: (0:0:1:0)\n" in out
+    # the bad reduction names its cause, before the witnesses
+    vanishing = ("vanishesModP: -5*x1*x3\n"
+                 "vanishesModP: 5*x0*x3\n"
+                 "vanishesModP: -5*x3^2\n")
+    assert "equal: false\n" + vanishing + "witness: " in out
+    assert out.count("vanishesModP:") == 3
+    code, out, _ = run_cli(["probe", "--target", "sing-d-omega-bar", "--prime", "7"])
+    assert code == 0
+    assert "vanishesModP" not in out
+
+
+def _run_python(flags, argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable] + flags + ["-m", "jpencil.cli"] + argv,
+                          capture_output=True, text=True, env=env, timeout=300)
+    return proc.returncode, proc.stdout
+
+
+def test_reports_do_not_depend_on_asserts():
+    # python -O strips assert statements; no certificate may rest on one
+    tangent_argv = ["exceptional", "tangent-dim"]
+    tangent = _run_python([], tangent_argv)
+    assert tangent == (0, golden("cli_tangent_dim.txt"))
+    assert _run_python(["-O"], tangent_argv) == tangent
+    probe_argv = ["probe", "--target", "sing-d-omega-bar", "--prime", "5"]
+    probe = _run_python([], probe_argv)
+    assert probe[0] == 4 and "vanishesModP: -5*x3^2\n" in probe[1]
+    assert _run_python(["-O"], probe_argv) == probe
 
 
 def test_probe_multi_prime_json():

@@ -21,7 +21,8 @@ from jpencil.exceptional import (
 )
 from jpencil.exterior import (DiffForm, PolyVectorField, descends_check,
                               integrability_check, interior_product,
-                              lie_derivative, saturate)
+                              lie_derivative, pullback_form, saturate)
+from jpencil.linalg import det_cofactor
 from jpencil.poly import MultiPoly, exact_divide
 from jpencil.polytext import poly_to_text
 
@@ -115,6 +116,32 @@ def test_tangent_system_reference():
     assert report.raw_kernel_dim == 14
     assert report.projective_dim == 13
     assert report.contains_omega_bar is True
+
+
+def _sympy_rank(rows):
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+    entries = [[QQ(c.numerator, c.denominator) for c in row] for row in rows]
+    return DomainMatrix(entries, (len(rows), len(rows[0])), QQ).rank()
+
+
+def test_tangent_dims_match_sympy_rank():
+    # independent oracle for the one elimination path: the criterion-05
+    # forms and a seeded GL(4) pullback of the reference form
+    fields = affine_fields(4)
+    forms = [reference_form(), derive_omega_bar().omega_bar,
+             contract_volume(fields.X, fields.Y)]
+    rng = random.Random(7006)
+    while True:
+        g = [[Fraction(rng.randint(-2, 2)) for _ in range(4)] for _ in range(4)]
+        if det_cofactor(g):
+            break
+    forms.append(pullback_form(g, reference_form()))
+    for omega in forms:
+        report = tangent_system_dim(omega)
+        euler_rows, integ_rows, _ = tangent_system_matrices(omega)
+        assert report.ambient_dim == 80 - _sympy_rank(euler_rows) == 45
+        assert report.raw_kernel_dim == 80 - _sympy_rank(euler_rows + integ_rows) == 14
 
 
 def test_tangent_system_shapes():

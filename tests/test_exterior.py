@@ -24,7 +24,7 @@ from jpencil.exterior import (
     volume_form,
     wedge,
 )
-from jpencil.poly import MultiPoly
+from jpencil.poly import FpElement, MultiPoly
 from jpencil.polytext import PolyParseError, parse_poly
 
 
@@ -170,6 +170,21 @@ def test_saturate_contract():
     # already-primitive input keeps a degree-0 factor
     sat2 = saturate(sat.form)
     assert sat2.factor.total_degree() == 0
+
+
+def test_saturate_ignores_scalar_factors():
+    rng = random.Random(4005)
+    for _ in range(10):
+        omega = _rand_one_form(rng, 3, 2)
+        if omega.is_zero:
+            continue
+        s = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        assert saturate(omega * s).form == saturate(omega).form
+        omega_p = DiffForm.one_form([c.reduce_mod(7) for c in omega.coefficients()])
+        if omega_p.is_zero:
+            continue
+        t = FpElement(rng.randint(1, 6), 7)
+        assert saturate(omega_p * t).form == saturate(omega_p).form
 
 
 def test_pullback_composition():

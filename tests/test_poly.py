@@ -124,6 +124,53 @@ def test_normalized_monic_over_fp():
     assert N.leading_coefficient() == FpElement(1, 7)
 
 
+def _rand_rational_poly(rng, arity=3):
+    P = MultiPoly.zero(arity)
+    for _ in range(rng.randint(1, 4)):
+        exps = tuple(rng.randint(0, 2) for _ in range(arity))
+        P = P + MultiPoly.monomial(arity, exps, Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+    return P
+
+
+def test_normalized_ignores_scalar_factors():
+    rng = random.Random(1004)
+    for _ in range(30):
+        P = _rand_rational_poly(rng)
+        if P.is_zero:
+            continue
+        s = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        assert (P * s).normalized() == P.normalized()
+        assert P.normalized().normalized() == P.normalized()
+        Pp = P.reduce_mod(7)
+        if Pp.is_zero:
+            continue
+        t = FpElement(rng.randint(1, 6), 7)
+        assert (Pp * t).normalized() == Pp.normalized()
+        assert Pp * Pp.normalization_scale() == Pp.normalized()
+
+
+def test_reduce_mod_is_a_ring_map():
+    rng = random.Random(1005)
+    for p in (5, 7, 11):
+        for _ in range(15):
+            A, B = _rand_rational_poly(rng), _rand_rational_poly(rng)
+            assert (A + B).reduce_mod(p) == A.reduce_mod(p) + B.reduce_mod(p)
+            assert (A * B).reduce_mod(p) == A.reduce_mod(p) * B.reduce_mod(p)
+
+
+def test_reduce_mod_rejects_bad_denominators_and_moduli():
+    x0 = MultiPoly.variable(2, 0)
+    assert (x0 * Fraction(3, 4)).reduce_mod(7) == x0 * FpElement(6, 7)
+    assert (x0 * 5).reduce_mod(5).is_zero
+    with pytest.raises(ValueError):
+        (x0 * Fraction(1, 10)).reduce_mod(5)
+    with pytest.raises(ValueError):
+        (x0 * FpElement(1, 7)).reduce_mod(5)
+    assert FpElement.from_rational(FpElement(3, 7), 7) == FpElement(3, 7)
+    with pytest.raises(ValueError):
+        FpElement(1, 5) * Fraction(1, 5)
+
+
 def test_exact_divide_and_failure():
     x0 = MultiPoly.variable(2, 0)
     x1 = MultiPoly.variable(2, 1)
