@@ -36,10 +36,10 @@ def _require_homogeneous_nonconstant(F, label):
 
 
 def _certify(omega, label):
-    descent = descends_check(omega)
-    assert descent.ok, "%s: Euler contraction residual %r" % (label, descent.residual)
-    frob = integrability_check(omega)
-    assert frob.ok, "%s: integrability residual is nonzero" % label
+    if not descends_check(omega).ok:
+        raise ValueError("%s: descends check failed, Euler contraction is nonzero" % label)
+    if not integrability_check(omega).ok:
+        raise ValueError("%s: integrability check failed, omega ^ d omega is nonzero" % label)
     return omega
 
 

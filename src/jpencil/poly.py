@@ -100,16 +100,14 @@ class FpElement:
         return FpElement(-self.v, self.p)
 
     def __eq__(self, other):
+        # an int or a Fraction is never equal to an element of F_p, so
+        # that equal values always hash equal
         if isinstance(other, FpElement):
             return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        if isinstance(other, Fraction) and other.denominator == 1:
-            return self.v == other.numerator % self.p
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.v)
+        return hash((self.p, self.v))
 
     def __bool__(self):
         return self.v != 0

@@ -15,17 +15,10 @@ the forms divisible by t0; the flag point is [1:0].
 """
 
 import itertools
-import os
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 
 # |P^4(F_31)| is about 954k and is the intended ceiling
 POINT_CAP = 1000000
-
-# chunk size for partitioned enumeration, and the space size above which
-# extra worker processes start paying for themselves
-_CHUNK = 50000
-_PARALLEL_THRESHOLD = 200000
 
 STRATA = ("X4", "TBAR", "NBAR", "X2", "X3", "P1P", "SECANT", "DISCRIMINANT")
 
@@ -141,68 +134,29 @@ def projective_points(n, p):
 
 
 def _reduce_poly(poly, p):
-    """Terms of poly mod p as (exponent tuple, int) pairs, zeros dropped."""
+    """Terms of poly mod p as (int, ((variable, exponent), ...)) pairs.
+
+    Zero coefficients and zero exponents are dropped, so a polynomial
+    that vanishes mod p has no terms and a constant has no pairs.
+    """
     try:
         reduced = poly.reduce_mod(p)
     except ValueError as exc:
         raise BadPrimeError(str(exc)) from None
-    return [(exps, c.v) for exps, c in sorted(reduced.terms.items())]
+    return [(c.v, tuple((i, e) for i, e in enumerate(exps) if e))
+            for exps, c in sorted(reduced.terms.items())]
 
 
-def _power_table(p, maxdeg):
-    tab = []
-    for x in range(p):
-        row = [1]
-        for _ in range(maxdeg):
-            row.append(row[-1] * x % p)
-        tab.append(row)
-    return tab
-
-
-def _tail_from_index(idx, width, p):
-    digits = [0] * width
-    for k in range(width - 1, -1, -1):
-        digits[k] = idx % p
-        idx //= p
-    return tuple(digits)
-
-
-def _locus_chunk(task):
-    """Common zeros among one leading-coordinate slice of the enumeration.
-
-    Runs in a worker process, so the task is plain data: points are
-    reconstructed from an index range instead of being shipped over.
-    """
-    n, p, lead, lo, hi, reduced, maxdeg = task
-    powtab = _power_table(p, maxdeg)
-    width = n - lead
-    prefix = (0,) * lead + (1,)
-    hits = []
-    for idx in range(lo, hi):
-        pt = prefix + _tail_from_index(idx, width, p)
-        for terms in reduced:
-            tot = 0
-            for exps, c in terms:
-                v = c
-                for x, e in zip(pt, exps):
-                    if e:
-                        v = v * powtab[x][e] % p
-                tot += v
-            if tot % p:
-                break
-        else:
-            hits.append(pt)
-    return hits
-
-
-def zero_locus(polys, n, p, workers=None):
+def zero_locus(polys, n, p):
     """Common zeros of the polynomials in P^n(F_p).
 
     Polynomials must have arity n+1; rational coefficients are reduced
     mod p (a denominator divisible by p is a BadPrimeError).  A
     polynomial that vanishes identically mod p imposes no condition and
-    is dropped.  The enumeration is partitioned into disjoint index
-    ranges, each processed independently, and the hits merged by union.
+    is dropped.  The points are walked in one process, one slice per
+    leading coordinate, with every product of a coefficient and table
+    powers reduced mod p; a point is dropped at the first polynomial
+    that does not vanish there.
     """
     _check_prime(p)
     polys = list(polys)
@@ -214,28 +168,26 @@ def zero_locus(polys, n, p, workers=None):
         raise ValueError("P^%d(F_%d) has %d points, over the %d cap"
                          % (n, p, count, POINT_CAP))
     reduced = [r for r in (_reduce_poly(P, p) for P in polys) if r]
-    if not reduced:
-        return projective_points(n, p)
-    maxdeg = max(max(e for exps, _ in terms for e in exps) for terms in reduced)
+    maxdeg = max((e for terms in reduced for _, pairs in terms for _, e in pairs),
+                 default=0)
+    powtab = [[pow(x, e, p) for e in range(maxdeg + 1)] for x in range(p)]
 
-    tasks = []
+    hits = []
     for lead in range(n + 1):
-        slice_size = p ** (n - lead)
-        for lo in range(0, slice_size, _CHUNK):
-            hi = min(lo + _CHUNK, slice_size)
-            tasks.append((n, p, lead, lo, hi, reduced, maxdeg))
-
-    if workers is None:
-        workers = os.cpu_count() or 1 if count > _PARALLEL_THRESHOLD else 1
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_locus_chunk, tasks))
-    else:
-        chunks = [_locus_chunk(t) for t in tasks]
-
-    hits = set()
-    for chunk in chunks:
-        hits.update(chunk)
+        prefix = (0,) * lead + (1,)
+        for tail in itertools.product(range(p), repeat=n - lead):
+            pt = prefix + tail
+            for terms in reduced:
+                tot = 0
+                for c, pairs in terms:
+                    v = c
+                    for i, e in pairs:
+                        v = v * powtab[pt[i]][e] % p
+                    tot += v
+                if tot % p:
+                    break
+            else:
+                hits.append(pt)
     return PointSet(p, n, hits)
 
 

@@ -126,6 +126,15 @@ def test_reports_do_not_depend_on_asserts():
     probe = _run_python([], probe_argv)
     assert probe[0] == 4 and "vanishesModP: -5*x3^2\n" in probe[1]
     assert _run_python(["-O"], probe_argv) == probe
+    # x1 dx0 does not descend: the pullback input is refused, not certified
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "eta.form")
+        with open(path, "w") as fh:
+            fh.write("vars: x0 x1 x2\ncoeff x0: x1\ncoeff x1: 0\ncoeff x2: 0\n")
+        pullback_argv = ["build", "pullback", "--form", path,
+                         "--matrix", "1,0,0,0;0,1,0,0;0,0,1,0"]
+        assert _run_python([], pullback_argv) == (3, "")
+        assert _run_python(["-O"], pullback_argv) == (3, "")
 
 
 def test_probe_multi_prime_json():

@@ -38,6 +38,23 @@ def test_fp_element_modulus_mismatch():
         FpElement(1, 5) + FpElement(1, 7)
 
 
+def test_equal_scalars_hash_equal():
+    values = [FpElement(v, p) for p in (5, 7) for v in range(-3, 10)]
+    values += list(range(-3, 10)) + [Fraction(v, d) for v in range(-3, 10) for d in (1, 2, 5)]
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+    for a in range(5):
+        for b in range(7):
+            assert FpElement(a, 5) != FpElement(b, 7)
+    # an element of F_p equals no int, so a reduction never equals its source
+    x = MultiPoly.variable(2, 0)
+    assert (6 * x).reduce_mod(5) != 6 * x
+    assert len({(6 * x).reduce_mod(5), 6 * x}) == 2
+    assert len({(6 * x).reduce_mod(5), x * FpElement(1, 5)}) == 1
+
+
 def test_grlex_order_is_degree_then_lex():
     # x0*x3^3 before x2^2*x3^2: same degree, lex on exponents from x0
     lo = grlex_key((0, 0, 2, 2))
