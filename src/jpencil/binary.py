@@ -21,7 +21,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
-from .poly import MultiPoly, poly_gcd, primitive_scale, scalar_one_like
+from .poly import FpElement, MultiPoly, poly_gcd, primitive_scale, scalar_one_like
 from .linalg import det_cofactor
 
 
@@ -65,7 +65,7 @@ class BinaryForm:
     def realize(self):
         """The form as an arity-2 polynomial in t0, t1."""
         r = self.degree
-        return MultiPoly(2, {(r - i, i): c for i, c in enumerate(self.plain_coefficients()) if c})
+        return MultiPoly(2, {(r - i, i): c for i, c in enumerate(self.plain_coefficients())})
 
     def normalized(self):
         """Canonical projective representative.
@@ -94,12 +94,7 @@ def linear_form_of_point(point):
     c, d = (_as_scalar(x) for x in point)
     if not c and not d:
         raise ValueError("zero point has no linear form")
-    terms = {}
-    if c:
-        terms[(1, 0)] = c
-    if d:
-        terms[(0, 1)] = d
-    return MultiPoly(2, terms)
+    return MultiPoly(2, {(1, 0): c, (0, 1): d})
 
 
 def veronese(r, point):
@@ -112,7 +107,6 @@ def veronese(r, point):
 
 def form_from_divisor(pairs):
     """Product of linear forms: pairs of (point, multiplicity)."""
-    total = sum(m for _, m in pairs)
     if any(m <= 0 for _, m in pairs):
         raise ValueError("multiplicities must be positive")
     product = None
@@ -121,7 +115,6 @@ def form_from_divisor(pairs):
         product = factor if product is None else product * factor
     if product is None:
         raise ValueError("empty divisor")
-    assert product.homogeneous_degree() == total
     return BinaryForm.from_poly(product).normalized()
 
 
@@ -143,14 +136,18 @@ def root_pattern(F):
     number of leading zero coefficients.  The finite multiplicities come from
     the chain g_(k+1) = gcd(g_k, g_k'), whose degree drops record how many
     roots survive each differentiation.  Valid in characteristic 0 and over
-    F_p with p > r.
+    F_p with p > r; over F_p with p <= r the derivative chain can stall (the
+    derivative of t^p is zero), so that is a ValueError.
     """
-    plain = F.plain_coefficients()
     r = F.degree
+    for c in F.coeffs:
+        if isinstance(c, FpElement) and c.p <= r:
+            raise ValueError("root pattern over F_%d needs p > degree %d" % (c.p, r))
+    plain = F.plain_coefficients()
     m_inf = 0
     while not plain[m_inf]:
         m_inf += 1
-    f = MultiPoly(1, {(r - i,): c for i in range(m_inf, r + 1) if (c := plain[i])})
+    f = MultiPoly(1, {(r - i,): plain[i] for i in range(m_inf, r + 1)})
     mults = []
     if f.total_degree() > 0:
         survivors = []  # survivors[k] = number of roots of multiplicity > k
@@ -165,7 +162,6 @@ def root_pattern(F):
     if m_inf:
         mults.append(m_inf)
     mults = tuple(sorted(mults, reverse=True))
-    assert sum(mults) == r
     return RootPattern(mults, ORBIT_CLASSES.get(mults) if r == 4 else None)
 
 

@@ -16,7 +16,7 @@ from .poly import MultiPoly, exact_divide, grlex_key
 from .linalg import bareiss_rank, mat_vec, is_zero_vector
 from .exterior import (DiffForm, PolyVectorField, descends_check,
                        euler_field, exterior_derivative, integrability_check,
-                       interior_product, lie_bracket, saturate, volume_form,
+                       interior_product, saturate, volume_form,
                        wedge, pullback_form)
 from .binary import cubic_discriminant_plain, invariant_polys
 from .components import build_rational
@@ -124,16 +124,14 @@ AffineFields = namedtuple("AffineFields", ["X", "Y", "R", "Omega"])
 
 def affine_fields(arity):
     """The weight field X = sum i z_i d/dz_i, the shift field Y = sum
-    z_(i-1) d/dz_i, the radial field and the volume form."""
+    z_(i-1) d/dz_i, the radial field and the volume form.  The relations
+    [X, Y] = -Y and [X, R] = 0 are certified by `exceptional fields`."""
     if arity < 2:
         raise ValueError("need at least two variables")
     zero = MultiPoly.zero(arity)
     X = PolyVectorField([i * MultiPoly.variable(arity, i) for i in range(arity)])
     Y = PolyVectorField([zero] + [MultiPoly.variable(arity, i - 1) for i in range(1, arity)])
-    R = euler_field(arity)
-    assert lie_bracket(X, Y) == -Y
-    assert all(c.is_zero for c in lie_bracket(X, R).coeffs)
-    return AffineFields(X, Y, R, volume_form(arity))
+    return AffineFields(X, Y, euler_field(arity), volume_form(arity))
 
 
 def contract_volume(X, Y):

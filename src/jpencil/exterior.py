@@ -16,7 +16,10 @@ from . import polytext
 
 
 class DiffForm:
-    """Polynomial k-form: terms map strictly increasing k-tuples to MultiPoly."""
+    """Polynomial k-form: terms map strictly increasing k-tuples to MultiPoly.
+
+    Zero coefficients are never stored; this constructor is the one place
+    that drops them, so operations hand it sums that may hold zeros."""
 
     __slots__ = ("arity", "degree", "terms")
 
@@ -47,7 +50,7 @@ class DiffForm:
     def one_form(cls, coeffs):
         """Build sum_i coeffs[i] dz_i from a full coefficient list."""
         arity = len(coeffs)
-        return cls(arity, 1, {(i,): c for i, c in enumerate(coeffs) if not c.is_zero})
+        return cls(arity, 1, {(i,): c for i, c in enumerate(coeffs)})
 
     @classmethod
     def zero_form(cls, P):
@@ -98,11 +101,7 @@ class DiffForm:
         out = dict(self.terms)
         for idx, c in other.terms.items():
             cur = out.get(idx)
-            s = c if cur is None else cur + c
-            if s.is_zero:
-                out.pop(idx, None)
-            else:
-                out[idx] = s
+            out[idx] = c if cur is None else cur + c
         return DiffForm(self.arity, self.degree if self.terms or not other.terms else other.degree, out)
 
     def __sub__(self, other):
@@ -112,13 +111,7 @@ class DiffForm:
         return DiffForm(self.arity, self.degree, {i: -c for i, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, MultiPoly):
-            if other.is_zero:
-                return DiffForm.zero(self.arity, self.degree)
-            return DiffForm(self.arity, self.degree, {i: c * other for i, c in self.terms.items()})
-        if isinstance(other, (int, Fraction, FpElement)):
-            if not other:
-                return DiffForm.zero(self.arity, self.degree)
+        if isinstance(other, (MultiPoly, int, Fraction, FpElement)):
             return DiffForm(self.arity, self.degree, {i: c * other for i, c in self.terms.items()})
         return NotImplemented
 
@@ -142,8 +135,7 @@ class PolyVectorField:
     def apply_to(self, P):
         out = MultiPoly.zero(self.arity)
         for i, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                out = out + c * P.partial_derivative(i)
+            out = out + c * P.partial_derivative(i)
         return out
 
     def __eq__(self, other):
@@ -204,11 +196,7 @@ def wedge(alpha, beta):
             if sign < 0:
                 coeff = -coeff
             cur = out.get(merged)
-            s = coeff if cur is None else cur + coeff
-            if s.is_zero:
-                out.pop(merged, None)
-            else:
-                out[merged] = s
+            out[merged] = coeff if cur is None else cur + coeff
     return DiffForm(alpha.arity, degree, out)
 
 
@@ -219,18 +207,14 @@ def exterior_derivative(alpha):
     out = {}
     for idx, coeff in alpha.terms.items():
         for i in range(alpha.arity):
-            d = coeff.partial_derivative(i)
-            if d.is_zero or i in idx:
+            if i in idx:
                 continue
+            d = coeff.partial_derivative(i)
             pos = sum(1 for k in idx if k < i)
             nidx = tuple(sorted(idx + (i,)))
             contrib = d if pos % 2 == 0 else -d
             cur = out.get(nidx)
-            s = contrib if cur is None else cur + contrib
-            if s.is_zero:
-                out.pop(nidx, None)
-            else:
-                out[nidx] = s
+            out[nidx] = contrib if cur is None else cur + contrib
     return DiffForm(alpha.arity, alpha.degree + 1, out)
 
 
@@ -247,19 +231,12 @@ def interior_product(V, alpha):
     out = {}
     for idx, coeff in alpha.terms.items():
         for pos, i in enumerate(idx):
-            v = V.coeffs[i]
-            if v.is_zero:
-                continue
             nidx = idx[:pos] + idx[pos + 1:]
-            contrib = coeff * v
+            contrib = coeff * V.coeffs[i]
             if pos % 2:
                 contrib = -contrib
             cur = out.get(nidx)
-            s = contrib if cur is None else cur + contrib
-            if s.is_zero:
-                out.pop(nidx, None)
-            else:
-                out[nidx] = s
+            out[nidx] = contrib if cur is None else cur + contrib
     return DiffForm(alpha.arity, alpha.degree - 1, out)
 
 
@@ -348,7 +325,7 @@ def pullback_form(matrix, eta, new_arity=None):
         row = matrix[i]
         basis_images.append(DiffForm(new_arity, 1, {
             (j,): MultiPoly.constant(new_arity, Fraction(row[j]))
-            for j in range(new_arity) if row[j]
+            for j in range(new_arity)
         }))
     result = DiffForm.zero(new_arity, eta.degree)
     for idx, coeff in eta.terms.items():
@@ -403,7 +380,7 @@ def parse_form_text(text):
     missing = [n for n in var_names if n not in coeffs]
     if missing:
         raise polytext.PolyParseError("missing coefficient lines for %s" % ", ".join(missing))
-    form = DiffForm(arity, 1, {(i,): coeffs[n] for i, n in enumerate(var_names) if not coeffs[n].is_zero})
+    form = DiffForm(arity, 1, {(i,): coeffs[n] for i, n in enumerate(var_names)})
     return form, var_names
 
 

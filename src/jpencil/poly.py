@@ -156,8 +156,9 @@ class MultiPoly:
 
     Values are immutable by convention; every operation returns a fresh
     polynomial and never mutates its arguments, so instances can be shared
-    freely.  Zero coefficients are never stored; the zero polynomial has an
-    empty term map.
+    freely.  Zero coefficients are never stored; this constructor is the one
+    place that drops them, so operations hand it sums that may hold zeros.
+    The zero polynomial has an empty term map.
     """
 
     __slots__ = ("arity", "terms")
@@ -251,11 +252,7 @@ class MultiPoly:
         out = dict(self.terms)
         for exps, c in other.terms.items():
             cur = out.get(exps)
-            s = c if cur is None else cur + c
-            if s:
-                out[exps] = s
-            elif cur is not None:
-                del out[exps]
+            out[exps] = c if cur is None else cur + c
         return MultiPoly(self.arity, out)
 
     def __sub__(self, other):
@@ -275,15 +272,9 @@ class MultiPoly:
                     exps = tuple(a + b for a, b in zip(e1, e2))
                     prod = c1 * c2
                     cur = out.get(exps)
-                    s = prod if cur is None else cur + prod
-                    if s:
-                        out[exps] = s
-                    elif cur is not None:
-                        del out[exps]
+                    out[exps] = prod if cur is None else cur + prod
             return MultiPoly(self.arity, out)
         if isinstance(other, (int, Fraction, FpElement)):
-            if not other:
-                return MultiPoly.zero(self.arity)
             return MultiPoly(self.arity, {e: c * other for e, c in self.terms.items()})
         return NotImplemented
 
@@ -316,11 +307,7 @@ class MultiPoly:
             nexps = exps[:i] + (e - 1,) + exps[i + 1:]
             nc = c * e
             cur = out.get(nexps)
-            s = nc if cur is None else cur + nc
-            if s:
-                out[nexps] = s
-            elif cur is not None:
-                del out[nexps]
+            out[nexps] = nc if cur is None else cur + nc
         return MultiPoly(self.arity, out)
 
     def evaluate(self, point):
@@ -349,7 +336,7 @@ class MultiPoly:
                 raise ValueError("ragged substitution matrix")
         images = [
             MultiPoly(new_arity, {tuple(1 if j == k else 0 for j in range(new_arity)): row[k]
-                                  for k in range(new_arity) if row[k]})
+                                  for k in range(new_arity)})
             for row in matrix
         ]
         result = MultiPoly.zero(new_arity)
@@ -404,6 +391,7 @@ def exact_divide(P, F):
     f_lead = max(F.terms, key=grlex_key)
     f_lc = F.terms[f_lead]
     quotient = {}
+    # the remainder drops its own zeros: its leading term is read every step
     rem = dict(P.terms)
     while rem:
         r_lead = max(rem, key=grlex_key)
@@ -496,8 +484,8 @@ def _gcd_rec(P, Q):
             break
         _, Rpp = _content_and_pp(R, main)
         A, B = B, Rpp
-    _, App = _content_and_pp(A, main)
-    return cont * App
+    # A is ppP, ppQ or some Rpp, so it is already primitive in main
+    return cont * A
 
 
 def poly_gcd(P, Q):

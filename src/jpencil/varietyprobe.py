@@ -307,9 +307,7 @@ def _chart_points(p, t0_mult):
             plain = _convolve(plain, t0, p)
         for _ in range(4 - t0_mult):
             plain = _convolve(plain, L, p)
-        divided = _divided_quartic(plain, p)
-        assert divided[4] == 0
-        pts.append(divided[:4])
+        pts.append(_divided_quartic(plain, p)[:4])
     return pts
 
 

@@ -147,6 +147,15 @@ def test_root_patterns():
 def test_root_pattern_over_fp():
     F = BinaryForm([FpElement(v, 7) for v in (1, 1, 1, 1, 1)])  # (t0 + t1)^4
     assert root_pattern(F).multiplicities == (4,)
+    F = BinaryForm([FpElement(v, 5) for v in (1, 1, 1, 1, 1)])  # p = degree + 1
+    assert root_pattern(F).multiplicities == (4,)
+    # p <= degree: the derivative of t0^5 + t1^5 over F_5 is zero, and the
+    # gcd chain would never end
+    one = FpElement(1, 5)
+    with pytest.raises(ValueError):
+        root_pattern(BinaryForm.from_plain([one, 0, 0, 0, 0, one]))
+    with pytest.raises(ValueError):
+        root_pattern(BinaryForm([FpElement(1, 7)] + [FpElement(0, 7)] * 7))
 
 
 def test_root_pattern_irrational_roots():

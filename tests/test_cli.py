@@ -1,5 +1,6 @@
 """Command-line surface: reports, exit codes, goldens, round trips."""
 
+import ast
 import contextlib
 import io
 import json
@@ -122,6 +123,10 @@ def test_reports_do_not_depend_on_asserts():
     tangent = _run_python([], tangent_argv)
     assert tangent == (0, golden("cli_tangent_dim.txt"))
     assert _run_python(["-O"], tangent_argv) == tangent
+    fields_argv = ["exceptional", "fields"]
+    fields = _run_python([], fields_argv)
+    assert fields == (0, golden("cli_fields.txt"))
+    assert _run_python(["-O"], fields_argv) == fields
     probe_argv = ["probe", "--target", "sing-d-omega-bar", "--prime", "5"]
     probe = _run_python([], probe_argv)
     assert probe[0] == 4 and "vanishesModP: -5*x3^2\n" in probe[1]
@@ -135,6 +140,18 @@ def test_reports_do_not_depend_on_asserts():
                          "--matrix", "1,0,0,0;0,1,0,0;0,0,1,0"]
         assert _run_python([], pullback_argv) == (3, "")
         assert _run_python(["-O"], pullback_argv) == (3, "")
+
+
+def test_package_has_no_asserts():
+    # python -O strips assert statements, so the package holds none
+    package = os.path.join(SRC, "jpencil")
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, "%s: assert at line %s" % (name, lines)
 
 
 def test_probe_multi_prime_json():

@@ -20,7 +20,7 @@ from jpencil.exceptional import (
     tangent_system_matrices,
 )
 from jpencil.exterior import (DiffForm, PolyVectorField, descends_check,
-                              integrability_check, interior_product,
+                              integrability_check, interior_product, lie_bracket,
                               lie_derivative, pullback_form, saturate)
 from jpencil.linalg import det_cofactor
 from jpencil.poly import MultiPoly, exact_divide
@@ -106,6 +106,10 @@ def test_affine_fields_and_contraction():
     assert descends_check(omega).ok
     assert integrability_check(omega).ok
     assert saturate(omega).factor == MultiPoly.constant(4, Fraction(1))
+    for arity in range(2, 7):
+        f = affine_fields(arity)
+        assert lie_bracket(f.X, f.Y) == -f.Y
+        assert all(c.is_zero for c in lie_bracket(f.X, f.R).coeffs)
     with pytest.raises(ValueError):
         affine_fields(1)
 

@@ -28,18 +28,28 @@ from jpencil.poly import FpElement, MultiPoly
 from jpencil.polytext import PolyParseError, parse_poly
 
 
-def _rand_poly(rng, arity, maxdeg):
+def _f7(n):
+    return FpElement(n, 7)
+
+
+def _rand_poly(rng, arity, maxdeg, scalar=Fraction):
     P = MultiPoly.zero(arity)
     for _ in range(rng.randint(1, 3)):
         exps = [0] * arity
         for _ in range(rng.randint(0, maxdeg)):
             exps[rng.randrange(arity)] += 1
-        P = P + MultiPoly.monomial(arity, tuple(exps), Fraction(rng.randint(-3, 3)))
+        P = P + MultiPoly.monomial(arity, tuple(exps), scalar(rng.randint(-3, 3)))
     return P
 
 
-def _rand_one_form(rng, arity, maxdeg):
-    return DiffForm.one_form([_rand_poly(rng, arity, maxdeg) for _ in range(arity)])
+def _rand_one_form(rng, arity, maxdeg, scalar=Fraction):
+    return DiffForm.one_form([_rand_poly(rng, arity, maxdeg, scalar) for _ in range(arity)])
+
+
+def _assert_no_zero_terms(*forms):
+    for form in forms:
+        for P in form.terms.values():
+            assert P.terms and all(P.terms.values()), form
 
 
 def _rand_field(rng, arity, maxdeg):
@@ -48,17 +58,22 @@ def _rand_field(rng, arity, maxdeg):
 
 def test_wedge_graded_commutativity():
     rng = random.Random(4001)
-    for _ in range(10):
-        a = _rand_one_form(rng, 3, 2)
-        b = _rand_one_form(rng, 3, 2)
-        assert wedge(a, b) == -wedge(b, a)
-        assert wedge(a, a).is_zero
-    # 2-form against 1-form commutes
-    a = _rand_one_form(rng, 4, 1)
-    b = _rand_one_form(rng, 4, 1)
-    c = _rand_one_form(rng, 4, 1)
-    ab = wedge(a, b)
-    assert wedge(ab, c) == wedge(c, ab)
+    for scalar in (Fraction, _f7):
+        for _ in range(10):
+            a = _rand_one_form(rng, 3, 2, scalar)
+            b = _rand_one_form(rng, 3, 2, scalar)
+            assert wedge(a, b) == -wedge(b, a)
+            assert wedge(a, a).is_zero
+            assert (wedge(a, b) + wedge(b, a)).is_zero
+            assert (a * scalar(0)).is_zero
+            _assert_no_zero_terms(a, b, wedge(a, b), wedge(a, b + a), a - b)
+        # 2-form against 1-form commutes
+        a = _rand_one_form(rng, 4, 1, scalar)
+        b = _rand_one_form(rng, 4, 1, scalar)
+        c = _rand_one_form(rng, 4, 1, scalar)
+        ab = wedge(a, b)
+        assert wedge(ab, c) == wedge(c, ab)
+        _assert_no_zero_terms(ab, wedge(ab, c))
 
 
 def test_wedge_associative():
@@ -72,11 +87,20 @@ def test_wedge_associative():
 
 def test_d_squared_zero():
     rng = random.Random(4003)
-    for _ in range(10):
-        a = _rand_one_form(rng, 3, 3)
-        assert exterior_derivative(exterior_derivative(a)).is_zero
-        f = _rand_poly(rng, 3, 3)
-        assert exterior_derivative(differential(f)).is_zero
+    for scalar in (Fraction, _f7):
+        for _ in range(10):
+            a = _rand_one_form(rng, 3, 3, scalar)
+            assert exterior_derivative(exterior_derivative(a)).is_zero
+            f = _rand_poly(rng, 3, 3, scalar)
+            assert exterior_derivative(differential(f)).is_zero
+            _assert_no_zero_terms(exterior_derivative(a), differential(f),
+                                  interior_product(euler_field(3), a))
+        # over F_7 the derivative of z^7 vanishes and must leave no term
+        z = MultiPoly.variable(3, 0)
+        df = differential(z ** 7 * scalar(3) + z * scalar(2))
+        zero = MultiPoly.zero(3)
+        assert df == DiffForm.one_form([z ** 6 * scalar(21) + MultiPoly.constant(3, scalar(2)), zero, zero])
+        _assert_no_zero_terms(df)
 
 
 def test_d_leibniz_on_wedge():

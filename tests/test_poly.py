@@ -64,37 +64,53 @@ def test_grlex_order_is_degree_then_lex():
     assert grlex_key((0, 2)) > grlex_key((1, 0))
 
 
+def _f7(n, d=1):
+    return FpElement(n, 7) / d
+
+
+def _assert_no_zero_terms(*polys):
+    for P in polys:
+        assert all(P.terms.values()), P
+
+
 def test_ring_axioms_random():
     rng = random.Random(1001)
 
-    def rand_poly():
+    def rand_poly(scalar):
         P = MultiPoly.zero(3)
         for _ in range(rng.randint(1, 4)):
             exps = tuple(rng.randint(0, 2) for _ in range(3))
-            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            c = scalar(rng.randint(-4, 4), rng.randint(1, 3))
             P = P + MultiPoly.monomial(3, exps, c)
         return P
 
-    for _ in range(25):
-        A, B, C = rand_poly(), rand_poly(), rand_poly()
-        assert A + B == B + A
-        assert A * B == B * A
-        assert (A + B) * C == A * C + B * C
-        assert A * (B * C) == (A * B) * C
-        assert A - A == MultiPoly.zero(3)
+    for scalar in (Fraction, _f7):
+        for _ in range(25):
+            A, B, C = rand_poly(scalar), rand_poly(scalar), rand_poly(scalar)
+            assert A + B == B + A
+            assert A * B == B * A
+            assert (A + B) * C == A * C + B * C
+            assert A * (B * C) == (A * B) * C
+            assert A - A == MultiPoly.zero(3)
+            assert A * scalar(0) == MultiPoly.zero(3)
+            _assert_no_zero_terms(A, B, C, A + B, A * B, (A + B) * C, A * C + B * C,
+                                  A * (B * C), A - B)
 
 
 def test_partial_derivative_product_rule():
     rng = random.Random(1002)
-    for _ in range(10):
-        A = MultiPoly.monomial(2, (rng.randint(0, 3), rng.randint(0, 3)),
-                               Fraction(rng.randint(1, 5)))
-        B = MultiPoly.monomial(2, (rng.randint(0, 3), rng.randint(0, 3)),
-                               Fraction(rng.randint(-5, -1)))
-        for i in range(2):
-            lhs = (A * B).partial_derivative(i)
-            rhs = A.partial_derivative(i) * B + A * B.partial_derivative(i)
-            assert lhs == rhs
+    # over F_7 the exponents reach 7, whose derivative terms vanish
+    for scalar, top, rounds in ((Fraction, 3, 10), (_f7, 4, 30)):
+        for _ in range(rounds):
+            A = MultiPoly.monomial(2, (rng.randint(0, top), rng.randint(0, top)),
+                                   scalar(rng.randint(1, 5)))
+            B = MultiPoly.monomial(2, (rng.randint(0, top), rng.randint(0, top)),
+                                   scalar(rng.randint(-5, -1)))
+            for i in range(2):
+                lhs = (A * B).partial_derivative(i)
+                rhs = A.partial_derivative(i) * B + A * B.partial_derivative(i)
+                assert lhs == rhs
+                _assert_no_zero_terms(lhs, rhs, A.partial_derivative(i) * B)
 
 
 def test_homogeneous_bookkeeping():
