@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb
 
 from .poly import FpElement, MultiPoly, poly_gcd, primitive_scale, scalar_one_like
-from .linalg import det_cofactor
+from .linalg import bareiss_det
 
 
 def _as_scalar(c):
@@ -248,35 +248,25 @@ def _sylvester_resultant(u, v):
         rows.append([0] * k + list(u) + [0] * (n - 1 - k))
     for k in range(m):
         rows.append([0] * k + list(v) + [0] * (m - 1 - k))
-    return det_cofactor(rows)
-
-
-def _derivative_coefficient_lists(coeffs, r):
-    """Plain coefficients of dF/dt0 and dF/dt1 for divided coordinates."""
-    u = [(r - i) * comb(r, i) * coeffs[i] for i in range(r)]
-    v = [(i + 1) * comb(r, i + 1) * coeffs[i + 1] for i in range(r)]
-    return u, v
+    return bareiss_det(rows)
 
 
 def discriminant_oracle(F):
-    """Resultant of the two partial derivatives of F.
+    """Resultant of the two partial derivatives of F, a form over Q.
 
     Proportional to the discriminant; for quartics this equals a fixed
-    rational multiple of D = Q^3 - 27 C^2 (the multiple is pinned by
-    discriminant_scale and certified on random samples by the test suite).
+    rational multiple of D = Q^3 - 27 C^2.  The multiple is pinned by
+    discriminant_scale; the test suite checks the identity symbolically
+    against sympy's resultant of the generic quartic's partials, and this
+    function against D on random samples.
     """
-    if F.degree < 2:
-        raise ValueError("discriminant oracle needs degree >= 2")
-    u, v = _derivative_coefficient_lists(F.coeffs, F.degree)
-    return _sylvester_resultant(u, v)
-
-
-def discriminant_oracle_symbolic(r):
-    """The oracle with the divided coordinates as polynomial variables."""
+    r = F.degree
     if r < 2:
         raise ValueError("discriminant oracle needs degree >= 2")
-    a = [MultiPoly.variable(r + 1, i) for i in range(r + 1)]
-    u, v = _derivative_coefficient_lists(a, r)
+    a = F.coeffs
+    # plain coefficients of dF/dt0 and dF/dt1
+    u = [(r - i) * comb(r, i) * a[i] for i in range(r)]
+    v = [(i + 1) * comb(r, i + 1) * a[i + 1] for i in range(r)]
     return _sylvester_resultant(u, v)
 
 

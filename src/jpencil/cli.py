@@ -98,9 +98,15 @@ def _emit(items, as_json):
             print("%s: %s" % (key, _fmt(value)))
 
 
-def _write_form(path, omega, var_names):
-    with open(path, "w") as fh:
-        fh.write(form_to_text(omega, var_names))
+def _form_report(head, body, omega, var_names, out):
+    """A report that ends in a 1-form: the head items, an "out" item when
+    the form is also written to the file out, the body items, then the
+    form itself."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(form_to_text(omega, var_names))
+        head = head + [("out", out)]
+    return head + body + form_items(omega, var_names)
 
 
 # -- input parsing ---------------------------------------------------------
@@ -217,15 +223,10 @@ def _cmd_build_rational(args):
     F1 = polytext.parse_poly(args.F1, var_names)
     F2 = polytext.parse_poly(args.F2, var_names)
     omega = build_rational(F1, F2)
-    items = [("command", "build rational"),
-             ("F1", polytext.poly_to_text(F1, var_names)),
-             ("F2", polytext.poly_to_text(F2, var_names))]
-    items += _certification_items(omega)
-    items += form_items(omega, var_names)
-    if args.out:
-        _write_form(args.out, omega, var_names)
-        items.insert(3, ("out", args.out))
-    return items, 0
+    head = [("command", "build rational"),
+            ("F1", polytext.poly_to_text(F1, var_names)),
+            ("F2", polytext.poly_to_text(F2, var_names))]
+    return _form_report(head, _certification_items(omega), omega, var_names, args.out), 0
 
 
 def _cmd_build_log(args):
@@ -235,15 +236,10 @@ def _cmd_build_log(args):
     factors = [polytext.parse_poly(t, var_names) for t in args.factor]
     weights = [_parse_fraction(t) for t in args.weight or []]
     omega = build_logarithmic(factors, weights)
-    items = [("command", "build log"),
-             ("factors", len(factors)),
-             ("weights", ",".join(str(w) for w in weights))]
-    items += _certification_items(omega)
-    items += form_items(omega, var_names)
-    if args.out:
-        _write_form(args.out, omega, var_names)
-        items.insert(3, ("out", args.out))
-    return items, 0
+    head = [("command", "build log"),
+            ("factors", len(factors)),
+            ("weights", ",".join(str(w) for w in weights))]
+    return _form_report(head, _certification_items(omega), omega, var_names, args.out), 0
 
 
 def _cmd_build_pullback(args):
@@ -251,16 +247,11 @@ def _cmd_build_pullback(args):
     matrix = _parse_matrix(args.matrix)
     omega = build_linear_pullback(matrix, eta)
     new_names = tuple("x%d" % i for i in range(omega.arity))
-    items = [("command", "build pullback"),
-             ("form", args.form),
-             ("matrixRows", len(matrix)),
-             ("matrixCols", len(matrix[0]))]
-    items += _certification_items(omega)
-    items += form_items(omega, new_names)
-    if args.out:
-        _write_form(args.out, omega, new_names)
-        items.insert(4, ("out", args.out))
-    return items, 0
+    head = [("command", "build pullback"),
+            ("form", args.form),
+            ("matrixRows", len(matrix)),
+            ("matrixCols", len(matrix[0]))]
+    return _form_report(head, _certification_items(omega), omega, new_names, args.out), 0
 
 
 def _cmd_check(args):
@@ -294,36 +285,28 @@ _X_NAMES = ("x0", "x1", "x2", "x3")
 
 def _cmd_exc_derive(args):
     report = derive_omega_bar()
-    items = [("command", "exceptional derive"),
-             ("factor", polytext.poly_to_text(report.factor, _A_NAMES)),
-             ("factorExact", polytext.poly_to_text(report.factor_exact, _A_NAMES)),
-             ("factorDegree", report.certifications["factorDegree"]),
-             ("coefficientDegree", report.certifications["coefficientDegree"]),
-             ("descends", report.certifications["descends"]),
-             ("integrable", report.certifications["integrable"])]
+    body = [("factor", polytext.poly_to_text(report.factor, _A_NAMES)),
+            ("factorExact", polytext.poly_to_text(report.factor_exact, _A_NAMES)),
+            ("factorDegree", report.certifications["factorDegree"]),
+            ("coefficientDegree", report.certifications["coefficientDegree"]),
+            ("descends", report.certifications["descends"]),
+            ("integrable", report.certifications["integrable"])]
     for i, name in enumerate(_A_NAMES):
         coeff = report.omega_h.terms.get((i,), MultiPoly.zero(4))
-        items.append(("hyperplane %s" % name, polytext.poly_to_text(coeff, _A_NAMES)))
-    items += form_items(report.omega_bar, _A_NAMES)
-    if args.out:
-        _write_form(args.out, report.omega_bar, _A_NAMES)
-        items.insert(1, ("out", args.out))
-    return items, 0
+        body.append(("hyperplane %s" % name, polytext.poly_to_text(coeff, _A_NAMES)))
+    return _form_report([("command", "exceptional derive")], body,
+                        report.omega_bar, _A_NAMES, args.out), 0
 
 
 def _cmd_exc_paper_form(args):
     omega = reference_form()
     sat = saturate(omega)
-    items = [("command", "exceptional paper-form"),
-             ("descends", descends_check(omega).ok),
-             ("integrable", integrability_check(omega).ok),
-             ("coefficientDegree", omega.coefficient_degrees()[0]),
-             ("saturationFactorDegree", sat.factor.total_degree())]
-    items += form_items(omega, _X_NAMES)
-    if args.out:
-        _write_form(args.out, omega, _X_NAMES)
-        items.insert(1, ("out", args.out))
-    return items, 0
+    body = [("descends", descends_check(omega).ok),
+            ("integrable", integrability_check(omega).ok),
+            ("coefficientDegree", omega.coefficient_degrees()[0]),
+            ("saturationFactorDegree", sat.factor.total_degree())]
+    return _form_report([("command", "exceptional paper-form")], body,
+                        omega, _X_NAMES, args.out), 0
 
 
 def _cmd_exc_fields(args):

@@ -324,7 +324,7 @@ def pullback_form(matrix, eta, new_arity=None):
     for i in range(eta.arity):
         row = matrix[i]
         basis_images.append(DiffForm(new_arity, 1, {
-            (j,): MultiPoly.constant(new_arity, Fraction(row[j]))
+            (j,): MultiPoly.constant(new_arity, row[j])
             for j in range(new_arity)
         }))
     result = DiffForm.zero(new_arity, eta.degree)
@@ -382,14 +382,3 @@ def parse_form_text(text):
         raise polytext.PolyParseError("missing coefficient lines for %s" % ", ".join(missing))
     form = DiffForm(arity, 1, {(i,): coeffs[n] for i, n in enumerate(var_names)})
     return form, var_names
-
-
-def two_form_report_items(omega2, var_names):
-    """(key, polynomial text) pairs for a 2-form, keys like 'd a0^d a2'."""
-    if omega2.degree != 2:
-        raise ValueError("expected a 2-form")
-    items = []
-    for idx in sorted(omega2.terms):
-        key = "^".join("d %s" % var_names[i] for i in idx)
-        items.append((key, polytext.poly_to_text(omega2.terms[idx], var_names)))
-    return items

@@ -1,8 +1,7 @@
 """Exact linear algebra over the rationals.
 
 One elimination path: fraction-free Bareiss elimination over the integers,
-for ranks.  A small generic determinant (expansion by minors with
-memoization) covers matrices whose entries are polynomials.
+for ranks and for determinants of square matrices.
 """
 
 from fractions import Fraction
@@ -11,24 +10,28 @@ from .poly import primitive_scale
 
 
 def _integer_rows(rows):
-    """The nonzero rows, each scaled to coprime integers; rank is unchanged."""
+    """The nonzero rows, each scaled to coprime integers, and the product of
+    the scales; rank is unchanged and a determinant is multiplied by it."""
     out = []
+    product = 1
     for row in rows:
         if any(row):
             scale = primitive_scale(row, 1)
             out.append([int(c * scale) for c in row])
-    return out
+            product *= scale
+    return out, product
 
 
-def bareiss_rank(rows):
-    """Rank by fraction-free elimination; all intermediate entries stay
-    integral (they are minors of the input), divisions are exact."""
-    m = _integer_rows(rows)
-    if not m:
-        return 0
+def _bareiss(m):
+    """Fraction-free elimination of the integer rows m, in place; all
+    intermediate entries stay integral (they are minors of the input),
+    divisions are exact.  Returns the rank, the sign of the row swaps and
+    the last pivot, which for a square m of full rank is its determinant
+    up to that sign."""
     n_rows = len(m)
     n_cols = len(m[0])
     rank = 0
+    sign = 1
     prev = 1
     for col in range(n_cols):
         pivot_row = None
@@ -40,6 +43,7 @@ def bareiss_rank(rows):
             continue
         if pivot_row != rank:
             m[rank], m[pivot_row] = m[pivot_row], m[rank]
+            sign = -sign
         pivot = m[rank][col]
         for r in range(rank + 1, n_rows):
             factor = m[r][col]
@@ -49,7 +53,30 @@ def bareiss_rank(rows):
         rank += 1
         if rank == n_rows:
             break
-    return rank
+    return rank, sign, prev
+
+
+def bareiss_rank(rows):
+    """Rank of a rational matrix by fraction-free elimination."""
+    m, _ = _integer_rows(rows)
+    if not m:
+        return 0
+    return _bareiss(m)[0]
+
+
+def bareiss_det(rows):
+    """Determinant of a square rational matrix by fraction-free elimination."""
+    n = len(rows)
+    if n == 0:
+        raise ValueError("empty matrix")
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant needs a square matrix")
+    m, scale = _integer_rows(rows)
+    if len(m) == n:
+        rank, sign, pivot = _bareiss(m)
+        if rank == n:
+            return sign * pivot / scale
+    return Fraction(0)
 
 
 def mat_vec(rows, vec):
@@ -58,41 +85,3 @@ def mat_vec(rows, vec):
 
 def is_zero_vector(vec):
     return all(not c for c in vec)
-
-
-def det_cofactor(matrix):
-    """Determinant by expansion along rows, memoized on the column subset.
-
-    Entries may be any ring elements supporting + - *; used for Sylvester
-    matrices with polynomial entries.
-    """
-    n = len(matrix)
-    if n == 0:
-        raise ValueError("empty matrix")
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("determinant needs a square matrix")
-    cache = {}
-
-    def minor(row, cols):
-        if row == n:
-            return 1
-        key = cols
-        if key in cache:
-            return cache[key]
-        acc = None
-        for pos, col in enumerate(cols):
-            entry = matrix[row][col]
-            if not entry:
-                continue
-            sub = minor(row + 1, cols[:pos] + cols[pos + 1:])
-            term = entry * sub
-            if pos % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = matrix[row][0] * 0
-        cache[key] = acc
-        return acc
-
-    return minor(0, tuple(range(n)))

@@ -174,7 +174,11 @@ def parse_poly(text, var_names=None):
     if not tokens:
         raise PolyParseError("empty polynomial string")
     parser = _Parser(tokens, {name: i for i, name in enumerate(var_names)}, len(var_names))
-    result = parser.parse_expression()
+    try:
+        result = parser.parse_expression()
+    except RecursionError:
+        # the parser descends one level per open parenthesis
+        raise PolyParseError("expression nested too deeply") from None
     if parser.pos != len(tokens):
         raise PolyParseError("trailing input %r" % (parser.tokens[parser.pos][1],))
     return result

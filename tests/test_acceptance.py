@@ -8,8 +8,7 @@ import os
 import random
 from fractions import Fraction
 
-from jpencil.binary import (BinaryForm, discriminant_oracle,
-                            discriminant_oracle_symbolic, discriminant_scale,
+from jpencil.binary import (BinaryForm, discriminant_oracle, discriminant_scale,
                             form_from_divisor, invariant_polys, invariants_qcd,
                             j_invariant, root_pattern)
 from jpencil.components import (build_linear_pullback, build_logarithmic,
@@ -106,7 +105,18 @@ def test_criterion_03_discriminant_oracle():
         assert discriminant_oracle(F) == c * inv.D
     inv = invariant_polys()
     assert inv.D == inv.Q ** 3 - 27 * inv.C ** 2
-    assert discriminant_oracle_symbolic(4) == c * inv.D
+    # the identity itself, against an independent oracle: sympy's resultant
+    # of the partials of the generic quartic is c * D as a polynomial
+    import sympy
+    a = sympy.symbols("a0:5")
+    t0, t1 = sympy.symbols("t0 t1")
+    quartic = sum(sympy.binomial(4, i) * a[i] * t0 ** (4 - i) * t1 ** i for i in range(5))
+    resultant = sympy.resultant(sympy.diff(quartic, t0).subs(t1, 1),
+                                sympy.diff(quartic, t1).subs(t1, 1), t0)
+    D = sum(sympy.Rational(coeff.numerator, coeff.denominator)
+            * sympy.Mul(*(x ** e for x, e in zip(a, exps)))
+            for exps, coeff in inv.D.terms.items())
+    assert sympy.Poly(resultant, *a) == sympy.Poly(sympy.Rational(c.numerator, c.denominator) * D, *a)
 
 
 def test_criterion_04_pipeline_fingerprint():

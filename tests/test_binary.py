@@ -11,7 +11,6 @@ from jpencil.binary import (
     JValue,
     cubic_discriminant_plain,
     discriminant_oracle,
-    discriminant_oracle_symbolic,
     discriminant_scale,
     form_from_divisor,
     invariant_polys,
@@ -27,6 +26,22 @@ from jpencil.poly import FpElement, MultiPoly
 from jpencil.polytext import parse_poly
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _sympy_partials_resultant_and_D():
+    """sympy's resultant of dF/dt0 and dF/dt1 for the generic divided
+    quartic F, and jpencil's invariant D, both as sympy polynomials in
+    a0..a4."""
+    import sympy
+    a = sympy.symbols("a0:5")
+    t0, t1 = sympy.symbols("t0 t1")
+    F = sum(sympy.binomial(4, i) * a[i] * t0 ** (4 - i) * t1 ** i for i in range(5))
+    resultant = sympy.resultant(sympy.diff(F, t0).subs(t1, 1),
+                                sympy.diff(F, t1).subs(t1, 1), t0)
+    D = sum(sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(x ** e for x, e in zip(a, exps)))
+            for exps, c in invariant_polys().D.terms.items())
+    return sympy.Poly(resultant, *a), sympy.Poly(D, *a)
 
 
 def test_divided_plain_round_trip():
@@ -168,9 +183,11 @@ def test_discriminant_oracle_constant_golden():
     with open(os.path.join(DATA, "discriminant_constant.txt")) as fh:
         frozen = Fraction(fh.read().strip())
     assert discriminant_scale() == frozen
-    # symbolic certificate: the resultant of the partials is 4096 * D
-    inv = invariant_polys()
-    assert discriminant_oracle_symbolic(4) == frozen * inv.D
+    # symbolic certificate: sympy's resultant of the partials of the generic
+    # quartic is 4096 * D
+    import sympy
+    resultant, D = _sympy_partials_resultant_and_D()
+    assert resultant == D * sympy.Rational(frozen.numerator, frozen.denominator)
 
 
 def test_discriminant_oracle_random():
@@ -185,9 +202,10 @@ def test_discriminant_oracle_random():
 def test_degree_two_oracle_proportional():
     # divided quadratic a0 t0^2 + 2 a1 t0 t1 + a2 t1^2: resultant of the
     # partials is 4(a0 a2 - a1^2)
-    oracle = discriminant_oracle_symbolic(2)
-    a = [MultiPoly.variable(3, i) for i in range(3)]
-    assert oracle == 4 * (a[0] * a[2] - a[1] * a[1])
+    rng = random.Random(5003)
+    for _ in range(20):
+        a = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)]
+        assert discriminant_oracle(BinaryForm(a)) == 4 * (a[0] * a[2] - a[1] * a[1])
 
 
 def test_cubic_discriminant_plain():

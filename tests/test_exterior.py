@@ -20,7 +20,6 @@ from jpencil.exterior import (
     parse_form_text,
     pullback_form,
     saturate,
-    two_form_report_items,
     volume_form,
     wedge,
 )
@@ -222,6 +221,22 @@ def test_pullback_composition():
     assert once == pullback_form(composed, eta, 5)
 
 
+def test_pullback_commutes_with_d_and_wedge():
+    # the pullback along a linear map is a morphism of differential graded
+    # algebras, over Q and over F_7 alike
+    rng = random.Random(4011)
+    for scalar in (Fraction, _f7):
+        for _ in range(5):
+            A = [[scalar(rng.randint(-2, 2)) for _ in range(4)] for _ in range(3)]
+            a = _rand_one_form(rng, 3, 2, scalar)
+            b = _rand_one_form(rng, 3, 2, scalar)
+            pa, pb = pullback_form(A, a, 4), pullback_form(A, b, 4)
+            assert pullback_form(A, exterior_derivative(a), 4) == exterior_derivative(pa)
+            assert pullback_form(A, wedge(a, b), 4) == wedge(pa, pb)
+            assert pullback_form(A, wedge(exterior_derivative(a), b), 4) == wedge(
+                exterior_derivative(pa), pb)
+
+
 def test_form_text_round_trip():
     rng = random.Random(4010)
     names = ("x0", "x1", "x2", "x3")
@@ -243,14 +258,6 @@ def test_form_text_errors():
     # comment lines are skipped
     form, _ = parse_form_text("# leading note\nvars: x0 x1\ncoeff x0: x1\ncoeff x1: 0\n")
     assert form == DiffForm.one_form([MultiPoly.variable(2, 1), MultiPoly.zero(2)])
-
-
-def test_two_form_report_items():
-    # only nonzero components are listed
-    x = [MultiPoly.variable(3, i) for i in range(3)]
-    omega = DiffForm.one_form([x[1], -x[0], MultiPoly.zero(3)])
-    items = two_form_report_items(exterior_derivative(omega), ("x0", "x1", "x2"))
-    assert items == [("d x0^d x1", "-2")]
 
 
 def test_volume_form_and_euler():

@@ -1,10 +1,11 @@
-"""Fraction-free linear algebra: rank against an independent oracle, determinants."""
+"""Fraction-free linear algebra: rank and determinant against an independent oracle."""
 
 import random
 from fractions import Fraction
 
-from jpencil.linalg import bareiss_rank, det_cofactor
-from jpencil.poly import MultiPoly
+import pytest
+
+from jpencil.linalg import bareiss_det, bareiss_rank
 
 
 def test_rank_known():
@@ -45,13 +46,42 @@ def test_rank_matches_sympy_oracle():
         assert bareiss_rank(rows) == _sympy_rank(rows, n_cols)
 
 
-def test_det_cofactor_known():
+def test_det_known():
     m = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
-    assert det_cofactor(m) == Fraction(-2)
+    assert bareiss_det(m) == Fraction(-2)
     m3 = [[Fraction(2), Fraction(0), Fraction(0)],
           [Fraction(0), Fraction(3), Fraction(0)],
           [Fraction(0), Fraction(0), Fraction(5)]]
-    assert det_cofactor(m3) == Fraction(30)
+    assert bareiss_det(m3) == Fraction(30)
+    # a row swap flips the sign; row scales are divided back out
+    assert bareiss_det([[0, 1], [1, 0]]) == -1
+    assert bareiss_det([[Fraction(1, 2), Fraction(1, 3)], [4, 6]]) == Fraction(5, 3)
+    assert bareiss_det([[1, 2], [0, 0]]) == 0
+    for bad in ([], [[1, 2]], [[1, 2], [3]]):
+        with pytest.raises(ValueError):
+            bareiss_det(bad)
+
+
+def _sympy_det(rows):
+    from sympy import Matrix, Rational
+    return Matrix([[Rational(c.numerator, c.denominator) for c in row] for row in rows]).det()
+
+
+def test_det_matches_sympy_oracle():
+    rng = random.Random(3002)
+    for n in range(1, 8):
+        for density in (1.0, 0.3):
+            for _ in range(4):
+                rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                         if rng.random() < density else Fraction(0) for _ in range(n)]
+                        for _ in range(n)]
+                assert bareiss_det(rows) == _sympy_det(rows)
+        if n > 1:
+            # singular: one row a combination of the others
+            rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)]
+                    for _ in range(n - 1)]
+            rows.insert(rng.randrange(n), [a - 2 * b for a, b in zip(rows[0], rows[-1])])
+            assert bareiss_det(rows) == _sympy_det(rows) == 0
 
 
 def test_det_multiplicative_random():
@@ -66,11 +96,4 @@ def test_det_multiplicative_random():
 
     for _ in range(10):
         A, B = rand_matrix(), rand_matrix()
-        assert det_cofactor(mat_mul(A, B)) == det_cofactor(A) * det_cofactor(B)
-
-
-def test_det_cofactor_polynomial_entries():
-    x0 = MultiPoly.variable(2, 0)
-    x1 = MultiPoly.variable(2, 1)
-    m = [[x0, x1], [x1, x0]]
-    assert det_cofactor(m) == x0 * x0 - x1 * x1
+        assert bareiss_det(mat_mul(A, B)) == bareiss_det(A) * bareiss_det(B)
