@@ -1,14 +1,15 @@
 """Exact-arithmetic certificates for the quartic j-pencil and its
 exceptional degree-two integrable form.
 
-The layers, bottom up: sparse rational polynomials and prime-field
-scalars (poly), fraction-free exact linear algebra (linalg), the text
-grammar (polytext), exterior calculus on polynomial coefficients
-(exterior), binary quartics with their invariants and osculating data
-(binary), certified constructors for integrable 1-forms (components),
-the restriction/saturation pipeline with its tangent-space computation
-(exceptional), and finite-field set certificates (varietyprobe).  The
-cli module ties everything to the `jpencil` command.
+The layers, bottom up: sparse polynomials over Q or over F_p, each
+carrying its prime (poly), fraction-free exact linear algebra (linalg),
+the text grammar (polytext), exterior calculus on polynomial
+coefficients (exterior), binary quartics over Q with their invariants
+and osculating data (binary), certified constructors for integrable
+1-forms (components), the restriction/saturation pipeline with its
+tangent-space computation (exceptional), and finite-field set
+certificates (varietyprobe).  The cli module ties everything to the
+`jpencil` command.
 """
 
 from .binary import BinaryForm, invariants_qcd, j_invariant, root_pattern, veronese

@@ -1,4 +1,4 @@
-"""Binary forms of degree r and the invariant theory of the quartic.
+"""Binary forms of degree r over Q and the invariant theory of the quartic.
 
 Coordinates are divided: a form is stored by the coefficients a_0..a_r in
 the basis binom(r,i) t0^(r-i) t1^i, so (c t0 + d t1)^r has coordinates
@@ -21,21 +21,17 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
-from .poly import FpElement, MultiPoly, poly_gcd, primitive_scale, scalar_one_like
+from .poly import MultiPoly, poly_gcd, primitive_scale
 from .linalg import bareiss_det
 
 
-def _as_scalar(c):
-    return Fraction(c) if isinstance(c, int) else c
-
-
 class BinaryForm:
-    """A nonzero binary form of degree r in divided coordinates."""
+    """A nonzero binary form of degree r over Q in divided coordinates."""
 
     __slots__ = ("degree", "coeffs")
 
     def __init__(self, coeffs):
-        coeffs = tuple(_as_scalar(c) for c in coeffs)
+        coeffs = tuple(Fraction(c) for c in coeffs)
         if len(coeffs) < 2:
             raise ValueError("a binary form needs degree >= 1")
         if not any(coeffs):
@@ -47,7 +43,7 @@ class BinaryForm:
     def from_plain(cls, plain):
         """From coefficients in the plain monomial basis t0^(r-i) t1^i."""
         r = len(plain) - 1
-        return cls(tuple(_as_scalar(c) / comb(r, i) for i, c in enumerate(plain)))
+        return cls(tuple(Fraction(c) / comb(r, i) for i, c in enumerate(plain)))
 
     @classmethod
     def from_poly(cls, P):
@@ -68,11 +64,8 @@ class BinaryForm:
         return MultiPoly(2, {(r - i, i): c for i, c in enumerate(self.plain_coefficients())})
 
     def normalized(self):
-        """Canonical projective representative.
-
-        Rational: primitive integer vector, first nonzero entry positive.
-        F_p: first nonzero entry scaled to 1.
-        """
+        """Canonical projective representative: primitive integer vector,
+        first nonzero entry positive."""
         first = next(c for c in self.coeffs if c)
         scale = primitive_scale(self.coeffs, first)
         return BinaryForm(tuple(c * scale for c in self.coeffs))
@@ -91,7 +84,7 @@ class BinaryForm:
 
 def linear_form_of_point(point):
     """The linear form c*t0 + d*t1 attached to the point [c:d]."""
-    c, d = (_as_scalar(x) for x in point)
+    c, d = (Fraction(x) for x in point)
     if not c and not d:
         raise ValueError("zero point has no linear form")
     return MultiPoly(2, {(1, 0): c, (0, 1): d})
@@ -99,7 +92,7 @@ def linear_form_of_point(point):
 
 def veronese(r, point):
     """r-th power of the linear form of a point: coordinates c^(r-i) d^i."""
-    c, d = (_as_scalar(x) for x in point)
+    c, d = (Fraction(x) for x in point)
     if not c and not d:
         raise ValueError("zero point")
     return BinaryForm(tuple(c ** (r - i) * d ** i for i in range(r + 1)))
@@ -135,14 +128,9 @@ def root_pattern(F):
     Dehomogenize with respect to t1; the lost root at [1:0] contributes the
     number of leading zero coefficients.  The finite multiplicities come from
     the chain g_(k+1) = gcd(g_k, g_k'), whose degree drops record how many
-    roots survive each differentiation.  Valid in characteristic 0 and over
-    F_p with p > r; over F_p with p <= r the derivative chain can stall (the
-    derivative of t^p is zero), so that is a ValueError.
+    roots survive each differentiation, which holds in characteristic 0.
     """
     r = F.degree
-    for c in F.coeffs:
-        if isinstance(c, FpElement) and c.p <= r:
-            raise ValueError("root pattern over F_%d needs p > degree %d" % (c.p, r))
     plain = F.plain_coefficients()
     m_inf = 0
     while not plain[m_inf]:
@@ -303,20 +291,20 @@ def osculating_flag(point, degree=4):
     """
     if degree != 4:
         raise ValueError("the flag is implemented for quartics")
-    c, d = (_as_scalar(x) for x in point)
+    c, d = (Fraction(x) for x in point)
     if not c and not d:
         raise ValueError("zero point")
-    one = scalar_one_like(c)
+    one, zero = Fraction(1), Fraction(0)
     # Complete L_p = c t0 + d t1 to a basis (u, v); express t0, t1 in u, v
     # and expand a symbolic quartic, working in arity 7: a_0..a_4, then u, v.
     if c:
-        e, f = 0 * one, one
+        e, f = zero, one
     else:
-        e, f = one, 0 * one
+        e, f = one, zero
     delta = c * f - d * e
-    identity_part = [[one if i == j else 0 * one for j in range(7)] for i in range(5)]
-    t0_row = [0 * one] * 5 + [f / delta, -d / delta]
-    t1_row = [0 * one] * 5 + [-e / delta, c / delta]
+    identity_part = [[one if i == j else zero for j in range(7)] for i in range(5)]
+    t0_row = [zero] * 5 + [f / delta, -d / delta]
+    t1_row = [zero] * 5 + [-e / delta, c / delta]
     substitution = identity_part + [t0_row, t1_row]
     a_vars = [MultiPoly.variable(7, i) for i in range(5)]
     t0 = MultiPoly.variable(7, 5)
@@ -340,7 +328,7 @@ def osculating_flag(point, degree=4):
 
         def param(q):
             cubic = base * linear_form_of_point(q) ** (3 - p_mult)
-            return tuple(cubic.terms.get((3 - i, i), 0 * one) for i in range(4))
+            return tuple(cubic.terms.get((3 - i, i), zero) for i in range(4))
 
         return param
 

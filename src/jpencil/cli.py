@@ -256,6 +256,8 @@ def _cmd_build_pullback(args):
 
 def _cmd_check(args):
     omega, var_names = _load_form(args.form)
+    if omega.is_zero:
+        raise ValueError("%s: the zero form defines no foliation" % args.form)
     dc = descends_check(omega)
     ic = integrability_check(omega)
     items = [

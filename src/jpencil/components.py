@@ -1,8 +1,9 @@
 """Constructors for the three classical families of integrable 1-forms.
 
-Each constructor returns a form that is certified on the spot: the Euler
-contraction i_R(omega) and the Frobenius residual omega ^ d(omega) are both
-expanded symbolically and must vanish identically.
+Each constructor returns a form that is certified on the spot: it is not
+the zero form, which defines no foliation, and the Euler contraction
+i_R(omega) and the Frobenius residual omega ^ d(omega) are both expanded
+symbolically and must vanish identically.
 
 The rational family comes from a quotient F1^p1 / F2^p2 of homogeneous
 polynomials with p1 d1 = p2 d2; the logarithmic family from a weighted sum
@@ -36,6 +37,8 @@ def _require_homogeneous_nonconstant(F, label):
 
 
 def _certify(omega, label):
+    if omega.is_zero:
+        raise ValueError("%s: the zero form defines no foliation" % label)
     if not descends_check(omega).ok:
         raise ValueError("%s: descends check failed, Euler contraction is nonzero" % label)
     if not integrability_check(omega).ok:

@@ -11,7 +11,7 @@ gcd.  Values are immutable; operations are pure.
 from collections import namedtuple
 from fractions import Fraction
 
-from .poly import FpElement, MultiPoly, coefficient_gcd, exact_divide, primitive_scale
+from .poly import SCALARS, MultiPoly, coefficient_gcd, exact_divide, primitive_scale
 from . import polytext
 
 
@@ -111,7 +111,7 @@ class DiffForm:
         return DiffForm(self.arity, self.degree, {i: -c for i, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (MultiPoly, int, Fraction, FpElement)):
+        if isinstance(other, MultiPoly) or isinstance(other, SCALARS):
             return DiffForm(self.arity, self.degree, {i: c * other for i, c in self.terms.items()})
         return NotImplemented
 
@@ -284,8 +284,9 @@ def _normalize_form(omega):
     scale) with form == omega * scale."""
     if omega.is_zero:
         return omega, Fraction(1)
-    pivot = omega.terms[min(omega.terms)].leading_coefficient()
-    scale = primitive_scale([c for P in omega.terms.values() for c in P.terms.values()], pivot)
+    first = omega.terms[min(omega.terms)]
+    scale = primitive_scale([c for P in omega.terms.values() for c in P.terms.values()],
+                            first.leading_coefficient(), first.p)
     return omega * scale, scale
 
 
@@ -304,7 +305,7 @@ def saturate(omega):
     g = coefficient_gcd(coeffs)
     divided = DiffForm(omega.arity, 1, {idx: exact_divide(c, g) for idx, c in omega.terms.items()})
     form, scale = _normalize_form(divided)
-    factor = g * (1 / scale)
+    factor = g * (Fraction(1) / scale)
     return SaturationResult(form, factor)
 
 

@@ -2,7 +2,11 @@
 
 Two scalar domains, both exact: arbitrary-precision rationals
 (fractions.Fraction) and prime fields F_p for a runtime prime p >= 5.
-There is no floating point anywhere in this package.
+There is no floating point anywhere in this package.  A polynomial owns
+its domain: MultiPoly.p is None over Q and the prime over F_p, where the
+coefficients are ints in [0, p).  FpElement is only an input type, which
+brings its prime to the polynomial it enters; to_fp is the one reduction
+of a scalar into F_p.
 
 Polynomials are sparse maps from exponent tuples to nonzero scalars, with a
 single global monomial order: graded lexicographic, total degree first, ties
@@ -15,7 +19,7 @@ from math import gcd as _int_gcd
 
 
 class FpElement:
-    """An element of F_p.  Mixing moduli is a hard error, never a coercion."""
+    """An element of F_p, as input to a polynomial; it does no arithmetic."""
 
     __slots__ = ("p", "v")
 
@@ -24,80 +28,6 @@ class FpElement:
             raise ValueError("prime fields are supported for p >= 5 only, got p=%d" % p)
         self.p = p
         self.v = v % p
-
-    @classmethod
-    def from_rational(cls, c, p):
-        """The image in F_p of an int, a Fraction or an element of F_p itself.
-
-        A denominator divisible by p and an element of another prime field
-        are both ValueErrors.
-        """
-        if isinstance(c, FpElement):
-            if c.p != p:
-                raise ValueError("modulus mismatch: %d vs %d" % (p, c.p))
-            return c
-        if isinstance(c, int):
-            return cls(c, p)
-        if isinstance(c, Fraction):
-            if c.denominator % p == 0:
-                raise ValueError("denominator %d divisible by p=%d" % (c.denominator, p))
-            return cls(c.numerator * pow(c.denominator, -1, p), p)
-        raise TypeError("cannot reduce %r mod %d" % (c, p))
-
-    def _coerce(self, other):
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise ValueError("modulus mismatch: %d vs %d" % (self.p, other.p))
-            return other
-        if isinstance(other, (int, Fraction)):
-            return FpElement.from_rational(other, self.p)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.v + o.v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.v - o.v, self.p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(o.v - self.v, self.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.v * o.v, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.v * pow(o.v, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(o.v * pow(self.v, -1, self.p), self.p)
-
-    def __pow__(self, e):
-        return FpElement(pow(self.v, e, self.p), self.p)
-
-    def __neg__(self):
-        return FpElement(-self.v, self.p)
 
     def __eq__(self, other):
         # an int or a Fraction is never equal to an element of F_p, so
@@ -109,31 +39,44 @@ class FpElement:
     def __hash__(self):
         return hash((self.p, self.v))
 
-    def __bool__(self):
-        return self.v != 0
-
     def __repr__(self):
         return str(self.v)
 
 
-def scalar_one_like(c):
-    """Multiplicative unit of the domain the scalar c lives in."""
+SCALARS = (int, Fraction, FpElement)
+
+
+def to_fp(c, p):
+    """The image in F_p, an int in [0, p), of an int, a Fraction or an
+    element of F_p itself.
+
+    A denominator divisible by p and an element of another prime field
+    are both ValueErrors.
+    """
+    if isinstance(c, int):
+        return c % p
+    if isinstance(c, Fraction):
+        if c.denominator % p == 0:
+            raise ValueError("denominator %d divisible by p=%d" % (c.denominator, p))
+        return c.numerator * pow(c.denominator, -1, p) % p
     if isinstance(c, FpElement):
-        return FpElement(1, c.p)
-    return Fraction(1)
+        if c.p != p:
+            raise ValueError("modulus mismatch: %d vs %d" % (p, c.p))
+        return c.v
+    raise TypeError("cannot reduce %r mod %d" % (c, p))
 
 
-def primitive_scale(coeffs, pivot):
+def primitive_scale(coeffs, pivot, p=None):
     """The scalar s that puts coeffs * s in canonical form up to a scalar.
 
-    F_p (pivot an FpElement): 1/pivot, which makes the pivot 1.  Q: the lcm
-    of the denominators over the gcd of the numerators, which makes the
-    scaled coefficients coprime integers, negated when pivot < 0 so that
-    the pivot comes out positive.  coeffs must hold a nonzero entry; the
-    pivot is the entry to make 1 (F_p), and over Q only its sign is read.
+    F_p (p given): 1/pivot, which makes the pivot 1.  Q: the lcm of the
+    denominators over the gcd of the numerators, which makes the scaled
+    coefficients coprime integers, negated when pivot < 0 so that the
+    pivot comes out positive.  coeffs must hold a nonzero entry; the pivot
+    is the entry to make 1 (F_p), and over Q only its sign is read.
     """
-    if isinstance(pivot, FpElement):
-        return 1 / pivot
+    if p is not None:
+        return pow(pivot, -1, p)
     # For fractions in lowest terms the content is gcd(numerators) over
     # lcm(denominators).
     den_lcm, num_gcd = 1, 0
@@ -152,37 +95,55 @@ def grlex_key(exps):
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial: arity plus {exponent tuple: scalar}.
+    """Sparse multivariate polynomial: arity plus {exponent tuple: scalar},
+    over Q (p None) or over F_p (coefficients ints in [0, p)).
 
     Values are immutable by convention; every operation returns a fresh
     polynomial and never mutates its arguments, so instances can be shared
-    freely.  Zero coefficients are never stored; this constructor is the one
-    place that drops them, so operations hand it sums that may hold zeros.
-    The zero polynomial has an empty term map.
+    freely.  Zero coefficients are never stored, and over F_p every stored
+    coefficient is reduced; this constructor is the one place that does
+    both, so operations hand it sums that may hold zeros or unreduced ints.
+    A term map of FpElements with p omitted takes their prime.  The zero
+    polynomial has an empty term map.
     """
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity", "terms", "p")
 
-    def __init__(self, arity, terms=None):
-        self.arity = arity
+    def __init__(self, arity, terms=None, p=None):
+        if p is not None and p < 5:
+            raise ValueError("prime fields are supported for p >= 5 only, got p=%d" % p)
         clean = {}
         if terms:
-            for exps, c in terms.items():
-                if len(exps) != arity:
-                    raise ValueError("exponent tuple %r does not match arity %d" % (exps, arity))
-                if c:
-                    clean[exps] = c
+            if p is None:
+                for c in terms.values():  # the first value tells FpElements apart
+                    p = c.p if type(c) is FpElement else None
+                    break
+            if p is None:
+                for exps, c in terms.items():
+                    if len(exps) != arity:
+                        raise ValueError("exponent tuple %r does not match arity %d" % (exps, arity))
+                    if c:
+                        clean[exps] = c
+            else:
+                for exps, c in terms.items():
+                    if len(exps) != arity:
+                        raise ValueError("exponent tuple %r does not match arity %d" % (exps, arity))
+                    c = c % p if type(c) is int else to_fp(c, p)
+                    if c:
+                        clean[exps] = c
+        self.arity = arity
         self.terms = clean
+        self.p = p
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, arity):
-        return cls(arity, {})
+    def zero(cls, arity, p=None):
+        return cls(arity, {}, p)
 
     @classmethod
-    def constant(cls, arity, c):
-        return cls(arity, {(0,) * arity: c})
+    def constant(cls, arity, c, p=None):
+        return cls(arity, {(0,) * arity: c}, p)
 
     @classmethod
     def variable(cls, arity, i):
@@ -228,32 +189,38 @@ class MultiPoly:
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
+        return self.arity == other.arity and self.p == other.p and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        return hash((self.arity, self.p, frozenset(self.terms.items())))
 
     def __repr__(self):
+        ring = "" if self.p is None else " mod %d" % self.p
         if not self.terms:
-            return "MultiPoly(%d, 0)" % self.arity
+            return "MultiPoly(%d, 0%s)" % (self.arity, ring)
         parts = ["%r:%r" % (e, c) for e, c in sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)]
-        return "MultiPoly(%d, {%s})" % (self.arity, ", ".join(parts))
+        return "MultiPoly(%d, {%s}%s)" % (self.arity, ", ".join(parts), ring)
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_arity(self, other):
+    def _ring(self, other):
+        """The prime of the ring that self and other meet in, None for Q;
+        a rational operand is read in F_p."""
         if self.arity != other.arity:
             raise ValueError("arity mismatch: %d vs %d" % (self.arity, other.arity))
+        if self.p is not None and other.p is not None and self.p != other.p:
+            raise ValueError("modulus mismatch: %d vs %d" % (self.p, other.p))
+        return self.p or other.p
 
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        self._check_arity(other)
+        p = self._ring(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
             cur = out.get(exps)
             out[exps] = c if cur is None else cur + c
-        return MultiPoly(self.arity, out)
+        return MultiPoly(self.arity, out, p)
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
@@ -261,11 +228,11 @@ class MultiPoly:
         return self + (-other)
 
     def __neg__(self):
-        return MultiPoly(self.arity, {e: -c for e, c in self.terms.items()})
+        return MultiPoly(self.arity, {e: -c for e, c in self.terms.items()}, self.p)
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
-            self._check_arity(other)
+            p = self._ring(other)
             out = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
@@ -273,9 +240,13 @@ class MultiPoly:
                     prod = c1 * c2
                     cur = out.get(exps)
                     out[exps] = prod if cur is None else cur + prod
-            return MultiPoly(self.arity, out)
-        if isinstance(other, (int, Fraction, FpElement)):
-            return MultiPoly(self.arity, {e: c * other for e, c in self.terms.items()})
+            return MultiPoly(self.arity, out, p)
+        if isinstance(other, SCALARS):
+            # an FpElement brings its prime; to_fp rejects another one
+            p = self.p or (other.p if isinstance(other, FpElement) else None)
+            if p is not None:
+                other = to_fp(other, p)
+            return MultiPoly(self.arity, {e: c * other for e, c in self.terms.items()}, p)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -283,8 +254,7 @@ class MultiPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers take non-negative integer exponents")
-        one = scalar_one_like(next(iter(self.terms.values()))) if self.terms else Fraction(1)
-        result = MultiPoly.constant(self.arity, one)
+        result = MultiPoly.constant(self.arity, Fraction(1), self.p)
         base = self
         e = n
         while e:
@@ -308,21 +278,23 @@ class MultiPoly:
             nc = c * e
             cur = out.get(nexps)
             out[nexps] = nc if cur is None else cur + nc
-        return MultiPoly(self.arity, out)
+        return MultiPoly(self.arity, out, self.p)
 
     def evaluate(self, point):
+        """The value at point: a Fraction over Q, an int in [0, p) over F_p."""
         if len(point) != self.arity:
             raise ValueError("point length %d does not match arity %d" % (len(point), self.arity))
-        acc = None
+        p = self.p
+        if p is not None:
+            point = [to_fp(x, p) for x in point]
+        acc = Fraction(0) if p is None else 0
         for exps, c in self.terms.items():
             term = c
             for x, e in zip(point, exps):
                 if e:
-                    term = term * x ** e
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return Fraction(0) if not point or not isinstance(point[0], FpElement) else FpElement(0, point[0].p)
-        return acc
+                    term = term * (x ** e if p is None else pow(x, e, p))
+            acc = acc + term
+        return acc if p is None else acc % p
 
     def linear_substitute(self, matrix, new_arity=None):
         """Compose with a linear map: one matrix row per old variable, one
@@ -336,13 +308,13 @@ class MultiPoly:
                 raise ValueError("ragged substitution matrix")
         images = [
             MultiPoly(new_arity, {tuple(1 if j == k else 0 for j in range(new_arity)): row[k]
-                                  for k in range(new_arity)})
+                                  for k in range(new_arity)}, self.p)
             for row in matrix
         ]
-        result = MultiPoly.zero(new_arity)
+        result = MultiPoly.zero(new_arity, self.p)
         power_cache = [{} for _ in range(self.arity)]
         for exps, c in self.terms.items():
-            term = MultiPoly.constant(new_arity, c)
+            term = MultiPoly.constant(new_arity, c, self.p)
             for i, e in enumerate(exps):
                 if not e:
                     continue
@@ -359,20 +331,22 @@ class MultiPoly:
         scale of the coefficients, with the leading coefficient as pivot."""
         if not self.terms:
             return Fraction(1)
-        return primitive_scale(self.terms.values(), self.leading_coefficient())
+        return primitive_scale(self.terms.values(), self.leading_coefficient(), self.p)
 
     def normalized(self):
         """Canonical representative up to a nonzero scalar.
 
-        Rational coefficients: primitive over the integers with positive
-        leading coefficient.  F_p coefficients: monic leading coefficient.
+        Over Q: primitive over the integers with positive leading
+        coefficient.  Over F_p: monic leading coefficient.
         """
         return self * self.normalization_scale()
 
     def reduce_mod(self, p):
-        """The image in F_p[x], coefficients as FpElement; terms that vanish
-        mod p are dropped.  ValueError as in FpElement.from_rational."""
-        return MultiPoly(self.arity, {e: FpElement.from_rational(c, p) for e, c in self.terms.items()})
+        """The image in F_p[x]; terms that vanish mod p are dropped.
+        ValueError as in to_fp, and for a polynomial over another prime."""
+        if self.p is not None and self.p != p:
+            raise ValueError("modulus mismatch: %d vs %d" % (p, self.p))
+        return MultiPoly(self.arity, self.terms, p)
 
 
 # -- division and gcd ------------------------------------------------------
@@ -385,11 +359,14 @@ def exact_divide(P, F):
     """
     if F.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
+    p = P._ring(F)
     if P.is_zero:
-        return MultiPoly.zero(P.arity)
-    P._check_arity(F)
+        return MultiPoly.zero(P.arity, p)
+    if P.p != F.p:
+        P, F = P.reduce_mod(p), F.reduce_mod(p)
     f_lead = max(F.terms, key=grlex_key)
     f_lc = F.terms[f_lead]
+    f_inv = None if p is None else pow(f_lc, -1, p)
     quotient = {}
     # the remainder drops its own zeros: its leading term is read every step
     rem = dict(P.terms)
@@ -398,20 +375,20 @@ def exact_divide(P, F):
         diff = tuple(a - b for a, b in zip(r_lead, f_lead))
         if any(d < 0 for d in diff):
             return None
-        q_c = rem[r_lead] / f_lc
+        q_c = rem[r_lead] / f_lc if p is None else rem[r_lead] * f_inv % p
         quotient[diff] = q_c
         for exps, c in F.terms.items():
             tgt = tuple(d + e for d, e in zip(diff, exps))
             cur = rem.get(tgt)
             delta = q_c * c
             s = -delta if cur is None else cur - delta
+            if p is not None:
+                s %= p
             if s:
                 rem[tgt] = s
             elif cur is not None:
                 del rem[tgt]
-    return MultiPoly(P.arity, quotient)
-
-
+    return MultiPoly(P.arity, quotient, p)
 def _degree_in(P, v):
     if not P.terms:
         return -1
@@ -424,11 +401,11 @@ def _coeff_in(P, v, k):
     for exps, c in P.terms.items():
         if exps[v] == k:
             out[exps[:v] + (0,) + exps[v + 1:]] = c
-    return MultiPoly(P.arity, out)
+    return MultiPoly(P.arity, out, P.p)
 
 
 def _shift_in(P, v, k):
-    return MultiPoly(P.arity, {e[:v] + (e[v] + k,) + e[v + 1:]: c for e, c in P.terms.items()})
+    return MultiPoly(P.arity, {e[:v] + (e[v] + k,) + e[v + 1:]: c for e, c in P.terms.items()}, P.p)
 
 
 def _pseudo_remainder(A, B, v):
@@ -470,7 +447,7 @@ def _gcd_rec(P, Q):
             main = v
             break
     if main < 0:
-        return MultiPoly.constant(P.arity, scalar_one_like(next(iter(P.terms.values()))))
+        return MultiPoly.constant(P.arity, Fraction(1), P._ring(Q))
     cP, ppP = _content_and_pp(P, main)
     cQ, ppQ = _content_and_pp(Q, main)
     cont = _gcd_rec(cP, cQ)
@@ -496,7 +473,7 @@ def poly_gcd(P, Q):
     """
     if P.is_zero and Q.is_zero:
         raise ValueError("gcd of two zero polynomials")
-    P._check_arity(Q)
+    P._ring(Q)
     return _gcd_rec(P, Q).normalized()
 
 

@@ -119,20 +119,6 @@ class PointSet:
         return PointSet(self.p, self.dim, self.points - other.points)
 
 
-def projective_points(n, p):
-    """All of P^n(F_p), normalized, in deterministic order."""
-    _check_prime(p)
-    count = (p ** (n + 1) - 1) // (p - 1)
-    if count > POINT_CAP:
-        raise ValueError("P^%d(F_%d) has %d points, over the %d cap"
-                         % (n, p, count, POINT_CAP))
-    pts = []
-    for lead in range(n + 1):
-        for tail in itertools.product(range(p), repeat=n - lead):
-            pts.append((0,) * lead + (1,) + tail)
-    return PointSet(p, n, pts)
-
-
 def _reduce_poly(poly, p):
     """Terms of poly mod p as (int, ((variable, exponent), ...)) pairs.
 
@@ -143,7 +129,7 @@ def _reduce_poly(poly, p):
         reduced = poly.reduce_mod(p)
     except ValueError as exc:
         raise BadPrimeError(str(exc)) from None
-    return [(c.v, tuple((i, e) for i, e in enumerate(exps) if e))
+    return [(c, tuple((i, e) for i, e in enumerate(exps) if e))
             for exps, c in sorted(reduced.terms.items())]
 
 
@@ -213,11 +199,6 @@ def _p1_parameters(p):
     return [(1, b) for b in range(p)] + [(0, 1)]
 
 
-def _quadratic_parameters(p):
-    """Plain coefficient vectors (g0, g1, g2), one per point of P^2(F_p)."""
-    return list(projective_points(2, p))
-
-
 def _combine(u, v, A, B, p):
     return tuple((u * a + v * b) % p for a, b in zip(A, B))
 
@@ -242,7 +223,8 @@ def _stratum_tbar(p):
 
 def _stratum_nbar(p):
     pts = []
-    for g in _quadratic_parameters(p):
+    # the plain coefficient vectors (g0, g1, g2) are the points of P^2(F_p)
+    for g in zero_locus([], 2, p):
         pts.append(_divided_quartic(_convolve(g, g, p), p))
     return pts
 
@@ -287,7 +269,7 @@ def _stratum_discriminant(p):
     pts = set(_stratum_nbar(p))
     for L in _p1_parameters(p):
         sq = _convolve(L, L, p)
-        for g in _quadratic_parameters(p):
+        for g in zero_locus([], 2, p):
             pts.add(normalize_point(_divided_quartic(_convolve(sq, g, p), p), p))
     return pts
 

@@ -97,19 +97,6 @@ def test_normalized_ignores_scalar_factors():
         N = F.normalized()
         assert all(c.denominator == 1 for c in N.coeffs)
         assert next(c for c in N.coeffs if c) > 0
-        Fp = [FpElement(rng.randint(0, 6), 7) for _ in range(5)]
-        if not any(Fp):
-            continue
-        t = FpElement(rng.randint(1, 6), 7)
-        assert BinaryForm([c * t for c in Fp]).normalized() == BinaryForm(Fp).normalized()
-
-
-def test_invariants_over_fp():
-    coeffs = [FpElement(v, 7) for v in (0, 1, 0, 6, 0)]
-    inv = invariants_qcd(BinaryForm(coeffs))
-    assert inv.Q == FpElement(4, 7)
-    assert inv.C == FpElement(0, 7)
-    assert inv.D == FpElement(64, 7)
 
 
 def test_invariant_weights_under_transform():
@@ -157,20 +144,6 @@ def test_root_patterns():
         pat = root_pattern(F)
         assert pat.multiplicities == mults
         assert pat.orbit_class == cls
-
-
-def test_root_pattern_over_fp():
-    F = BinaryForm([FpElement(v, 7) for v in (1, 1, 1, 1, 1)])  # (t0 + t1)^4
-    assert root_pattern(F).multiplicities == (4,)
-    F = BinaryForm([FpElement(v, 5) for v in (1, 1, 1, 1, 1)])  # p = degree + 1
-    assert root_pattern(F).multiplicities == (4,)
-    # p <= degree: the derivative of t0^5 + t1^5 over F_5 is zero, and the
-    # gcd chain would never end
-    one = FpElement(1, 5)
-    with pytest.raises(ValueError):
-        root_pattern(BinaryForm.from_plain([one, 0, 0, 0, 0, one]))
-    with pytest.raises(ValueError):
-        root_pattern(BinaryForm([FpElement(1, 7)] + [FpElement(0, 7)] * 7))
 
 
 def test_root_pattern_irrational_roots():
@@ -251,3 +224,6 @@ def test_degree_guard():
         invariants_qcd(BinaryForm([Fraction(1), Fraction(0), Fraction(1)]))
     with pytest.raises(ValueError):
         osculating_flag((Fraction(0), Fraction(0)))
+    # binary forms live over Q; an element of F_p is not a coefficient
+    with pytest.raises(TypeError):
+        BinaryForm([FpElement(1, 7)] * 5)

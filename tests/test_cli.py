@@ -311,6 +311,16 @@ def test_precondition_errors_exit_3():
             fh.write("vars: x0 x1\ncoeff x0: %sx1%s\ncoeff x1: 0\n" % ("(" * 600, ")" * 600))
         code, out, err = run_cli(["check", "--form", path])
         assert code == 3 and out == "" and "nested" in err
+        # the zero form defines no foliation, so it is never certified
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("vars: x0 x1\ncoeff x0: 0\ncoeff x1: 0\n")
+        code, out, err = run_cli(["check", "--form", path])
+        assert code == 3 and out == "" and "zero form" in err
+    for argv in (["build", "rational", "x0", "x0"],
+                 ["build", "log", "--factor", "x0", "--factor", "x0", "--factor", "x0",
+                  "--weight", "1", "--weight", "1", "--weight", "-2"]):
+        code, out, err = run_cli(argv)
+        assert code == 3 and out == "" and "zero form" in err
 
 
 def test_build_pullback():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jpencil.poly import (
     FpElement,
@@ -12,20 +14,8 @@ from jpencil.poly import (
     exact_divide,
     grlex_key,
     poly_gcd,
+    to_fp,
 )
-
-
-def test_fp_element_arithmetic():
-    a = FpElement(3, 7)
-    b = FpElement(5, 7)
-    assert (a + b).v == 1
-    assert (a - b).v == 5
-    assert (a * b).v == 1
-    assert (a / b).v == (3 * pow(5, -1, 7)) % 7
-    assert (a ** 6).v == 1
-    assert (-a).v == 4
-    assert a + 4 == FpElement(0, 7)
-    assert 1 - a == FpElement(5, 7)
 
 
 def test_fp_element_small_prime_rejected():
@@ -34,8 +24,18 @@ def test_fp_element_small_prime_rejected():
 
 
 def test_fp_element_modulus_mismatch():
+    x = MultiPoly.variable(2, 0)
+    x5 = x.reduce_mod(5)
     with pytest.raises(ValueError):
-        FpElement(1, 5) + FpElement(1, 7)
+        x5 + x.reduce_mod(7)
+    with pytest.raises(ValueError):
+        x5 * x.reduce_mod(7)
+    with pytest.raises(ValueError):
+        x5.reduce_mod(7)
+    with pytest.raises(ValueError):
+        x5 * FpElement(1, 7)
+    with pytest.raises(ValueError):
+        MultiPoly(2, {(1, 0): 1}, 3)
 
 
 def test_equal_scalars_hash_equal():
@@ -65,7 +65,7 @@ def test_grlex_order_is_degree_then_lex():
 
 
 def _f7(n, d=1):
-    return FpElement(n, 7) / d
+    return FpElement(to_fp(Fraction(n, d), 7), 7)
 
 
 def _assert_no_zero_terms(*polys):
@@ -91,8 +91,8 @@ def test_ring_axioms_random():
             assert A * B == B * A
             assert (A + B) * C == A * C + B * C
             assert A * (B * C) == (A * B) * C
-            assert A - A == MultiPoly.zero(3)
-            assert A * scalar(0) == MultiPoly.zero(3)
+            assert A - A == MultiPoly.zero(3, A.p)
+            assert A * scalar(0) == MultiPoly.zero(3, A.p)
             _assert_no_zero_terms(A, B, C, A + B, A * B, (A + B) * C, A * C + B * C,
                                   A * (B * C), A - B)
 
@@ -129,7 +129,9 @@ def test_evaluate():
     P = x0 ** 3 - 2 * x0 * x1
     assert P.evaluate((Fraction(2), Fraction(3))) == 8 - 12
     Pp = MultiPoly(2, {(1, 1): FpElement(2, 7)})
-    assert Pp.evaluate((FpElement(3, 7), FpElement(4, 7))) == FpElement(24, 7)
+    assert Pp.p == 7 and Pp.evaluate((3, 4)) == 24 % 7
+    assert Pp.evaluate((FpElement(3, 7), Fraction(1, 2))) == 3
+    assert MultiPoly.zero(2, 7).evaluate((1, 1)) == 0
 
 
 def test_linear_substitute_composes():
@@ -154,7 +156,8 @@ def test_normalized_primitive_positive_leading():
 def test_normalized_monic_over_fp():
     P = MultiPoly(2, {(2, 0): FpElement(3, 7), (0, 2): FpElement(5, 7)})
     N = P.normalized()
-    assert N.leading_coefficient() == FpElement(1, 7)
+    assert N.leading_coefficient() == 1
+    assert N == MultiPoly(2, {(2, 0): 1, (0, 2): 4}, 7)
 
 
 def _rand_rational_poly(rng, arity=3):
@@ -199,9 +202,12 @@ def test_reduce_mod_rejects_bad_denominators_and_moduli():
         (x0 * Fraction(1, 10)).reduce_mod(5)
     with pytest.raises(ValueError):
         (x0 * FpElement(1, 7)).reduce_mod(5)
-    assert FpElement.from_rational(FpElement(3, 7), 7) == FpElement(3, 7)
+    assert to_fp(FpElement(3, 7), 7) == 3
+    assert to_fp(Fraction(3, 4), 7) == 6
     with pytest.raises(ValueError):
-        FpElement(1, 5) * Fraction(1, 5)
+        to_fp(FpElement(3, 7), 5)
+    with pytest.raises(ValueError):
+        x0.reduce_mod(5) * Fraction(1, 5)
 
 
 def test_exact_divide_and_failure():
@@ -239,3 +245,42 @@ def test_coefficient_gcd():
     x = [MultiPoly.variable(3, i) for i in range(3)]
     polys = [x[2] * x[0] * 2, x[2] * x[1] * 4, x[2] * x[2] * 6]
     assert coefficient_gcd(polys) == x[2]
+
+
+# -- laws of the F_p reduction and of the gcd, as properties ----------------
+
+_coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_exps = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+_polys = st.dictionaries(_exps, _coeffs, min_size=1, max_size=4).map(lambda t: MultiPoly(3, t))
+_primes = st.sampled_from((5, 7, 11))
+# the gcd over Q is a primitive PRS, whose cost grows fast with the degree
+_small_polys = st.dictionaries(st.tuples(*[st.integers(0, 1)] * 3), _coeffs,
+                               min_size=1, max_size=3).map(lambda t: MultiPoly(3, t))
+
+
+@settings(max_examples=60)
+@given(_polys, _polys, _primes, st.lists(_coeffs, min_size=6, max_size=6))
+def test_reduce_mod_commutes_with_calculus_and_division(A, B, p, entries):
+    for i in range(3):
+        assert A.partial_derivative(i).reduce_mod(p) == A.reduce_mod(p).partial_derivative(i)
+    matrix = [entries[0:2], entries[2:4], entries[4:6]]
+    matrix_p = [[FpElement(to_fp(c, p), p) for c in row] for row in matrix]
+    assert A.linear_substitute(matrix).reduce_mod(p) == A.reduce_mod(p).linear_substitute(matrix_p)
+    assume(not A.is_zero and not B.reduce_mod(p).is_zero)
+    assert exact_divide(A * B, B) == A
+    assert exact_divide((A * B).reduce_mod(p), B.reduce_mod(p)) == A.reduce_mod(p)
+
+
+@settings(max_examples=40)
+@given(_small_polys, _small_polys, _small_polys, st.sampled_from((None, 7)))
+def test_gcd_divides_and_cofactors_are_coprime(G, A, B, p):
+    # G is a planted common factor; over F_7 everything is reduced first
+    if p is not None:
+        G, A, B = G.reduce_mod(p), A.reduce_mod(p), B.reduce_mod(p)
+    assume(not (G.is_zero or A.is_zero or B.is_zero))
+    A, B = G * A, G * B
+    g = poly_gcd(A, B)
+    cofactors = exact_divide(A, g), exact_divide(B, g)
+    assert None not in cofactors
+    assert exact_divide(g, G) is not None
+    assert poly_gcd(*cofactors) == MultiPoly.constant(3, Fraction(1), p)

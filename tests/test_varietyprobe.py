@@ -15,7 +15,6 @@ from jpencil.varietyprobe import (
     compare_sets,
     is_prime,
     normalize_point,
-    projective_points,
     stratum_points,
     zero_locus,
 )
@@ -32,7 +31,7 @@ def test_is_prime():
 def test_bad_primes_rejected():
     for p in (4, 3, 1, 9):
         with pytest.raises(BadPrimeError):
-            projective_points(1, p)
+            zero_locus([], 1, p)
         with pytest.raises(BadPrimeError):
             stratum_points("X4", p)
         with pytest.raises(BadPrimeError):
@@ -48,12 +47,13 @@ def test_normalize_point():
 
 
 def test_projective_point_counts():
-    assert len(projective_points(1, 5)) == 6
-    assert len(projective_points(2, 5)) == 31
-    assert len(projective_points(3, 5)) == 156
-    assert len(projective_points(4, 7)) == 2801
+    # the locus of no conditions is all of P^n(F_p)
+    assert len(zero_locus([], 1, 5)) == 6
+    assert len(zero_locus([], 2, 5)) == 31
+    assert len(zero_locus([], 3, 5)) == 156
+    assert len(zero_locus([], 4, 7)) == 2801
     with pytest.raises(ValueError):
-        projective_points(4, 37)  # over the point cap
+        zero_locus([], 4, 37)  # over the point cap
 
 
 def test_point_set_operations():
@@ -108,7 +108,7 @@ def test_zero_locus_matches_direct_evaluation():
             vanishing = parse_poly("%d*x0^2*x%d" % (p, n), names)
             for polys in ([quadric(names)], [quadric(names), vanishing, quadric(names)]):
                 locus = zero_locus(polys, n, p)
-                for pt in projective_points(n, p):
+                for pt in zero_locus([], n, p):
                     values = [P.evaluate(tuple(Fraction(c) for c in pt)) for P in polys]
                     assert (pt in locus) == all(v % p == 0 for v in values)
 
