@@ -14,6 +14,7 @@ broken lexicographically with the variable of index 0 largest.  All printing,
 normalization and division routines use this one order.
 """
 
+import random
 from fractions import Fraction
 from math import gcd as _int_gcd
 
@@ -85,6 +86,18 @@ def primitive_scale(coeffs, pivot, p=None):
         num_gcd = _int_gcd(num_gcd, c.numerator)
     scale = Fraction(den_lcm, num_gcd)
     return -scale if pivot < 0 else scale
+
+
+def _mul_terms(a, b):
+    """The product of two term maps, zeros and unreduced ints included."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            prod = c1 * c2
+            cur = out.get(exps)
+            out[exps] = prod if cur is None else cur + prod
+    return out
 
 
 def grlex_key(exps):
@@ -233,14 +246,7 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             p = self._ring(other)
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    exps = tuple(a + b for a, b in zip(e1, e2))
-                    prod = c1 * c2
-                    cur = out.get(exps)
-                    out[exps] = prod if cur is None else cur + prod
-            return MultiPoly(self.arity, out, p)
+            return MultiPoly(self.arity, _mul_terms(self.terms, other.terms), p)
         if isinstance(other, SCALARS):
             # an FpElement brings its prime; to_fp rejects another one
             p = self.p or (other.p if isinstance(other, FpElement) else None)
@@ -306,23 +312,39 @@ class MultiPoly:
         for row in matrix:
             if len(row) != new_arity:
                 raise ValueError("ragged substitution matrix")
-        images = [
-            MultiPoly(new_arity, {tuple(1 if j == k else 0 for j in range(new_arity)): row[k]
-                                  for k in range(new_arity)}, self.p)
-            for row in matrix
-        ]
-        result = MultiPoly.zero(new_arity, self.p)
-        power_cache = [{} for _ in range(self.arity)]
+        p = self.p
+        if p is None:  # an FpElement entry brings its prime, as in __mul__
+            p = next((c.p for row in matrix for c in row if isinstance(c, FpElement)), None)
+        one = (0,) * new_arity
+        images = []
+        for row in matrix:
+            image = {}
+            for k, c in enumerate(row):
+                if p is not None:
+                    c = to_fp(c, p)
+                elif type(c) is Fraction and c.denominator == 1:
+                    c = c.numerator  # int products are far cheaper
+                if c:
+                    image[one[:k] + (1,) + one[k + 1:]] = c
+            images.append(image)
+        # powers[i][e] is the term map of image_i ** e; a term's product of
+        # powers is scaled by its coefficient last, so that the products
+        # stay in ints for an integer matrix
+        powers = [[{one: 1}] for _ in images]
+        out = {}
         for exps, c in self.terms.items():
-            term = MultiPoly.constant(new_arity, c, self.p)
+            prod = {one: 1}
             for i, e in enumerate(exps):
-                if not e:
-                    continue
-                if e not in power_cache[i]:
-                    power_cache[i][e] = images[i] ** e
-                term = term * power_cache[i][e]
-            result = result + term
-        return result
+                if e:
+                    cache = powers[i]
+                    while len(cache) <= e:
+                        cache.append(_mul_terms(cache[-1], images[i]))
+                    prod = _mul_terms(prod, cache[e])
+            for exps2, v in prod.items():
+                v = c * v
+                cur = out.get(exps2)
+                out[exps2] = v if cur is None else cur + v
+        return MultiPoly(new_arity, out, p)
 
     # -- normal forms ------------------------------------------------------
 
@@ -423,8 +445,13 @@ def _pseudo_remainder(A, B, v):
 
 
 def _content_and_pp(P, v):
-    degP = _degree_in(P, v)
-    coeffs = [c for k in range(degP + 1) if not (c := _coeff_in(P, v, k)).is_zero]
+    split = {}
+    for exps, c in P.terms.items():
+        split.setdefault(exps[v], {})[exps[:v] + (0,) + exps[v + 1:]] = c
+    # the gcd is the same in any order; the smallest coefficients first
+    # reach a constant content soonest
+    coeffs = sorted((MultiPoly(P.arity, t, P.p) for t in split.values()),
+                    key=lambda c: (c.total_degree(), len(c.terms)))
     content = coeffs[0]
     for c in coeffs[1:]:
         content = _gcd_rec(content, c)
@@ -477,17 +504,84 @@ def poly_gcd(P, Q):
     return _gcd_rec(P, Q).normalized()
 
 
+# Lines for the unit certificate come from a generator with this fixed
+# seed, made afresh for each call, so that every certificate is
+# reproducible and does not depend on the calls before it.
+_LINE_SEED = 20061
+# Draws of a line (u, v) per call.  Over F_p a random line meets the common
+# zeros of the inputs with probability about degree/p, and a draw is lost
+# when polys[0](v) = 0, so small primes need several draws: on unit-gcd
+# restrictions mod 5, 8 draws left 7% of them to the PRS and 16 left none
+# of 2,400.  A draw costs a few univariate gcds, the PRS seconds.  Over Q a
+# failed line is the common case (a real common factor), so one draw.
+_LINES_FP = 16
+_LINES_Q = 1
+
+
+def _unit_line(polys):
+    """A line (u, v) on which the inputs have a coprime restriction, which
+    proves that their gcd is a constant, or None when no line tried does.
+
+    polys are nonzero homogeneous polynomials over one ring.  v is drawn
+    with polys[0](v) != 0 and u is any point.  A common factor G divides
+    polys[0], so G(v) != 0: G(u + t*v) keeps the degree of G in t and
+    divides every P(u + t*v).  A constant gcd of these univariate
+    restrictions therefore proves that G is a constant, over Q and F_p.
+    A variable that divides every input is a common factor, and no line
+    is tried.
+    """
+    arity = polys[0].arity
+    if any(all(e[i] for P in polys for e in P.terms) for i in range(arity)):
+        return None
+    p = polys[0].p
+    rng = random.Random(_LINE_SEED)
+    if p is None:
+        draw, lines = (lambda: rng.randint(-3, 3)), _LINES_Q
+    else:
+        draw, lines = (lambda: rng.randrange(p)), _LINES_FP
+    for _ in range(lines):
+        u = [draw() for _ in range(arity)]
+        v = [draw() for _ in range(arity)]
+        # u proportional to v spans no line
+        minors = (u[i] * v[j] - u[j] * v[i] for i in range(arity) for j in range(i))
+        if not polys[0].evaluate(v) or not any(m if p is None else m % p for m in minors):
+            continue
+        # P(s*u + t*v), homogeneous in (s, t), read at s = 1
+        matrix = [[a, b] for a, b in zip(u, v)]
+        restricted = [MultiPoly(1, {(e[1],): c for e, c in R.terms.items()}, p)
+                      for P in polys if not (R := P.linear_substitute(matrix, 2)).is_zero]
+        if _fold_gcd(restricted).total_degree() == 0:
+            return u, v
+    return None
+
+
+def _fold_gcd(polys):
+    """The normalized gcd of nonzero polys, folded left to right.  The fold
+    stops at a constant, and once the running gcd divides every input left,
+    which makes it their gcd."""
+    g = polys[0]
+    for k in range(1, len(polys)):
+        if g.total_degree() == 0 or all(exact_divide(Q, g) is not None for Q in polys[k:]):
+            break
+        g = poly_gcd(g, polys[k])
+    return g.normalized()
+
+
 def coefficient_gcd(polys):
-    """Iterated gcd of a list of polynomials, at least one nonzero."""
+    """Iterated gcd of a list of polynomials, at least one nonzero.
+
+    Homogeneous inputs in three or more variables over one ring are first
+    tried on lines (_unit_line), which certify a unit gcd at the cost of a
+    univariate gcd; the primitive PRS runs only when no line does.
+    """
     polys = list(polys)
     if not polys:
         raise ValueError("empty coefficient list")
     nonzero = [P for P in polys if not P.is_zero]
     if not nonzero:
         raise ValueError("all-zero coefficient list")
-    g = nonzero[0]
-    for P in nonzero[1:]:
-        g = poly_gcd(g, P)
-        if g.total_degree() == 0:
-            break
-    return g.normalized()
+    first = nonzero[0]
+    if (first.arity >= 3 and len({P.p for P in nonzero}) == 1
+            and all(P.is_homogeneous() for P in nonzero) and _unit_line(nonzero)):
+        return MultiPoly.constant(first.arity, Fraction(1), first.p).normalized()
+    return _fold_gcd(nonzero)

@@ -267,9 +267,10 @@ def _stratum_secant(p):
 def _stratum_discriminant(p):
     """Quartics with a repeated root: L^2 G, plus squared irreducibles."""
     pts = set(_stratum_nbar(p))
+    plane = list(zero_locus([], 2, p))
     for L in _p1_parameters(p):
         sq = _convolve(L, L, p)
-        for g in zero_locus([], 2, p):
+        for g in plane:
             pts.add(normalize_point(_divided_quartic(_convolve(sq, g, p), p), p))
     return pts
 

@@ -171,16 +171,52 @@ def test_reports_do_not_depend_on_asserts():
         assert _run_python(["-O"], argvs) == plain
 
 
-def test_package_has_no_asserts():
-    # python -O strips assert statements, so the package holds none
+def _package_trees():
+    """(file name, syntax tree) of every module of the package."""
     package = os.path.join(SRC, "jpencil")
     for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=name)
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read(), filename=name)
+
+
+def test_package_has_no_asserts():
+    # python -O strips assert statements, so the package holds none
+    for name, tree in _package_trees():
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, "%s: assert at line %s" % (name, lines)
+
+
+def _unseeded_random(node):
+    """Whether node draws from the random module's shared generator or
+    makes a generator without a seed."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "random" and any(a.name != "Random" for a in node.names)
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "random":
+        name = func.attr
+    elif isinstance(func, ast.Name) and func.id == "Random":
+        name = "Random"
+    else:
+        return False
+    return name != "Random" or not (node.args or node.keywords)
+
+
+def test_package_randomness_is_seeded():
+    # every certificate and witness is reproducible: the package draws only
+    # from generators it makes with a fixed seed
+    for name, tree in _package_trees():
+        lines = [node.lineno for node in ast.walk(tree) if _unseeded_random(node)]
+        assert not lines, "%s: unseeded randomness at line %s" % (name, lines)
+    bad = ["random.shuffle(x)", "random.randint(0, 9)", "random.Random()",
+           "from random import choice", "Random()"]
+    good = ["random.Random(7)", "random.Random(x=7)", "Random(7)", "from random import Random",
+            "rng.randint(0, 9)"]
+    for text in bad + good:
+        flagged = any(_unseeded_random(node) for node in ast.walk(ast.parse(text)))
+        assert flagged == (text in bad), text
 
 
 # Module-level names in src/jpencil that neither the package nor the

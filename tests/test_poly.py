@@ -1,5 +1,6 @@
 """Scalar and polynomial kernel: exactness, order, division, gcd."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from jpencil import poly
 from jpencil.poly import (
     FpElement,
     MultiPoly,
@@ -284,3 +286,130 @@ def test_gcd_divides_and_cofactors_are_coprime(G, A, B, p):
     assert None not in cofactors
     assert exact_divide(g, G) is not None
     assert poly_gcd(*cofactors) == MultiPoly.constant(3, Fraction(1), p)
+
+
+# -- the line certificate of a unit coefficient gcd --------------------------
+
+def _gcd_chain(polys):
+    """The oracle: the plain iterated gcd of the nonzero inputs."""
+    nonzero = [P for P in polys if not P.is_zero]
+    g = nonzero[0]
+    for P in nonzero[1:]:
+        g = poly_gcd(g, P)
+    return g.normalized()
+
+
+def _restrict(P, u, v):
+    """P(u + t*v), a polynomial in t, built by plain ring arithmetic."""
+    t = MultiPoly.variable(1, 0)
+    images = [MultiPoly.constant(1, a, P.p) + t * b for a, b in zip(u, v)]
+    out = MultiPoly.zero(1, P.p)
+    for exps, c in P.terms.items():
+        term = MultiPoly.constant(1, c, P.p)
+        for image, e in zip(images, exps):
+            term = term * image ** e
+        out = out + term
+    return out
+
+
+def _certifies(polys, line):
+    # the witness a reader can check: P_1(v) != 0, and the restrictions to
+    # the line have a constant gcd
+    u, v = line
+    restricted = [_restrict(P, u, v) for P in polys]
+    return polys[0].evaluate(v) != 0 and _gcd_chain(restricted).total_degree() == 0
+
+
+def _degree_monomials(n, d):
+    return [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d]
+
+
+@st.composite
+def _homogeneous_families(draw):
+    n = draw(st.sampled_from((3, 4)))
+    p = draw(st.sampled_from((None, 5, 7, 11)))
+
+    def form(d):
+        terms = draw(st.dictionaries(st.sampled_from(_degree_monomials(n, d)), _coeffs, min_size=1, max_size=4))
+        P = MultiPoly(n, terms)
+        return P if p is None else P.reduce_mod(p)
+
+    planted = form(draw(st.integers(0, 1)))
+    top = 3 - planted.total_degree()
+    return [planted * form(draw(st.integers(0, top))) for _ in range(draw(st.integers(2, 4)))]
+
+
+@settings(max_examples=80)
+@given(_homogeneous_families())
+def test_coefficient_gcd_matches_the_gcd_chain(polys):
+    # over Q and F_5, F_7, F_11, with and without a planted common factor
+    nonzero = [P for P in polys if not P.is_zero]
+    assume(nonzero)
+    assert coefficient_gcd(polys) == _gcd_chain(polys)
+    line = poly._unit_line(nonzero)
+    if line is not None:
+        assert _certifies(nonzero, line)
+
+
+def test_unit_line_needs_a_point_off_the_first_input():
+    # x0^5 x1 - x0 x1^5 vanishes at every point over F_5, so no line is
+    # drawn through a point where it does not vanish, and the PRS answers.
+    # x0^2 - 2 x1^2 has no zero on most lines at all (2 is not a square
+    # mod 5), so only the point condition keeps such a line out.
+    x = [MultiPoly.variable(3, i).reduce_mod(5) for i in range(3)]
+    everywhere = x[0] ** 5 * x[1] - x[0] * x[1] ** 5
+    assert all(everywhere.evaluate(pt) == 0 for pt in itertools.product(range(5), repeat=3))
+    unit, factor = [everywhere, x[0] ** 2 - 2 * x[1] ** 2], [everywhere, x[0] * x[2] ** 5]
+    assert poly._unit_line(unit) is None and poly._unit_line(factor) is None
+    assert coefficient_gcd(unit) == MultiPoly.constant(3, 1, 5)
+    assert coefficient_gcd(factor) == x[0]
+
+
+def test_unit_line_is_only_for_homogeneous_inputs(monkeypatch):
+    # (x0 + 1) x1 and (x0 + 1) x2 restrict to coprime forms on a line in
+    # x0 = 0, so an inhomogeneous input must never reach the line test
+    def no_line(polys):
+        raise AssertionError("line test on %r" % (polys,))
+
+    monkeypatch.setattr(poly, "_unit_line", no_line)
+    x = [MultiPoly.variable(3, i) for i in range(3)]
+    one = MultiPoly.constant(3, Fraction(1))
+    for p in (None, 5):
+        G, A, B = [P if p is None else P.reduce_mod(p) for P in (x[0] + one, x[1], x[2])]
+        assert coefficient_gcd([G * A, G * B]) == G
+        assert coefficient_gcd([A * A + G, B]) == MultiPoly.constant(3, Fraction(1), p)
+
+
+def test_unit_line_skips_inputs_that_vanish_on_it():
+    # L vanishes on the line that certifies [P1, P2], so L^2 restricts to
+    # zero there; it is skipped and the same line still certifies
+    x = [MultiPoly.variable(3, i) for i in range(3)]
+    for p in (None, 7):
+        P1, P2 = [P if p is None else P.reduce_mod(p)
+                  for P in (x[0] ** 2 + x[1] * x[2], x[1] ** 2 - 2 * x[0] * x[2])]
+        u, v = poly._unit_line([P1, P2])
+        normal = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+        L = MultiPoly(3, {(1, 0, 0): normal[0], (0, 1, 0): normal[1], (0, 0, 1): normal[2]}, p)
+        assert not L.is_zero
+        assert _restrict(L * L, u, v).is_zero
+        line = poly._unit_line([P1, L * L, P2])
+        assert _certifies([P1, L * L, P2], line)
+        if p is None:  # one line is drawn over Q, the same for both lists
+            assert line == (u, v)
+        assert coefficient_gcd([P1, L * L, P2]) == MultiPoly.constant(3, Fraction(1), p)
+
+
+def test_planted_linear_factor_is_never_a_unit():
+    rng = random.Random(1006)
+    coeff = lambda: rng.randrange(5)
+    for _ in range(40):
+        n = rng.choice((3, 4))
+        L = MultiPoly(n, {e: coeff() for e in _degree_monomials(n, 1)}, 5)
+        if L.is_zero:
+            continue
+        polys = [L * MultiPoly(n, {e: coeff() for e in _degree_monomials(n, rng.randint(1, 3))}, 5)
+                 for _ in range(rng.randint(2, 4))]
+        if all(P.is_zero for P in polys):
+            continue
+        assert poly._unit_line([P for P in polys if not P.is_zero]) is None
+        assert exact_divide(coefficient_gcd(polys), L) is not None
