@@ -116,7 +116,8 @@ class MultiPoly:
     freely.  Zero coefficients are never stored, and over F_p every stored
     coefficient is reduced; this constructor is the one place that does
     both, so operations hand it sums that may hold zeros or unreduced ints.
-    A term map of FpElements with p omitted takes their prime.  The zero
+    A term map of FpElements with p omitted takes their prime; over Q a
+    coefficient other than an int or a Fraction is a TypeError.  The zero
     polynomial has an empty term map.
     """
 
@@ -135,6 +136,8 @@ class MultiPoly:
                 for exps, c in terms.items():
                     if len(exps) != arity:
                         raise ValueError("exponent tuple %r does not match arity %d" % (exps, arity))
+                    if type(c) is not int and type(c) is not Fraction:
+                        raise TypeError("coefficient %r over Q is not an int or a Fraction" % (c,))
                     if c:
                         clean[exps] = c
             else:
@@ -388,7 +391,7 @@ def exact_divide(P, F):
         P, F = P.reduce_mod(p), F.reduce_mod(p)
     f_lead = max(F.terms, key=grlex_key)
     f_lc = F.terms[f_lead]
-    f_inv = None if p is None else pow(f_lc, -1, p)
+    f_inv = Fraction(1, f_lc) if p is None else pow(f_lc, -1, p)
     quotient = {}
     # the remainder drops its own zeros: its leading term is read every step
     rem = dict(P.terms)
@@ -397,7 +400,7 @@ def exact_divide(P, F):
         diff = tuple(a - b for a, b in zip(r_lead, f_lead))
         if any(d < 0 for d in diff):
             return None
-        q_c = rem[r_lead] / f_lc if p is None else rem[r_lead] * f_inv % p
+        q_c = rem[r_lead] * f_inv if p is None else rem[r_lead] * f_inv % p
         quotient[diff] = q_c
         for exps, c in F.terms.items():
             tgt = tuple(d + e for d, e in zip(diff, exps))

@@ -3,9 +3,12 @@
 Zero loci of coefficient ideals in P^n(F_p) are compared against exact
 images of stratum parametrizations.  Everything here is set-level over a
 handful of good primes: no multiplicity structure, no extension fields.
-Conjugate-pair phenomena (chords of the quartic curve joining points
-defined over F_{p^2}) are reached by enumerating monic irreducible
-quadratics over F_p instead of building the extension field.
+Every stratum is the image of products of binary-form families (L^3 M
+for TBAR, g^2 for NBAR, t0^m L^(4-m) for the chart strata; the table is
+STRATUM_FAMILIES), except the chords of SECANT.  Conjugate-pair chords,
+joining points of the quartic curve defined over F_{p^2}, are reached
+through monic irreducible quadratics over F_p instead of building the
+extension field.
 
 Quartic coordinates are the divided ones used by the rest of the
 package: the point (a0 : ... : a4) is the form
@@ -20,7 +23,22 @@ from collections import namedtuple
 # |P^4(F_31)| is about 954k and is the intended ceiling
 POINT_CAP = 1000000
 
-STRATA = ("X4", "TBAR", "NBAR", "X2", "X3", "P1P", "SECANT", "DISCRIMINANT")
+# Each stratum is the union of the images of products of binary-form
+# families: ("L", k) runs over the k-th powers of the lines, ("g", k) over
+# those of the plane quadratics, and ("t0", k) is t0^k alone.  SECANT adds
+# its chords to the tangent lines L^3 M.
+STRATUM_FAMILIES = {
+    "X4": [[("L", 4)]],
+    "TBAR": [[("L", 3), ("L", 1)]],
+    "NBAR": [[("g", 2)]],
+    "X2": [[("t0", 2), ("L", 2)]],
+    "X3": [[("t0", 1), ("L", 3)]],
+    "P1P": [[("t0", 3), ("L", 1)]],
+    "SECANT": [[("L", 3), ("L", 1)]],
+    "DISCRIMINANT": [[("g", 2)], [("L", 2), ("g", 1)]],
+}
+
+STRATA = tuple(STRATUM_FAMILIES)
 
 # ambient projective dimension of each stratum
 STRATUM_DIM = {
@@ -177,9 +195,8 @@ def zero_locus(polys, n, p):
     return PointSet(p, n, hits)
 
 
-# parametrization plumbing: plain coefficient vectors of products of
-# linear forms, then division by the binomials to land in divided
-# coordinates
+# parametrization plumbing: a binary form is its plain coefficient vector,
+# t0 first
 
 def _convolve(u, v, p):
     out = [0] * (len(u) + len(v) - 1)
@@ -190,107 +207,49 @@ def _convolve(u, v, p):
     return out
 
 
-def _divided_quartic(plain, p):
-    inv = (1, pow(4, -1, p), pow(6, -1, p), pow(4, -1, p), 1)
-    return tuple(c * i % p for c, i in zip(plain, inv))
+def _family(p, base, k):
+    """The k-th powers of the lines ("L"), of the plane quadratics ("g"),
+    or of t0 alone ("t0")."""
+    forms = [(1, 0)] if base == "t0" else zero_locus([], 1 if base == "L" else 2, p)
+    powers = []
+    for f in forms:
+        power = [1]
+        for _ in range(k):
+            power = _convolve(power, f, p)
+        powers.append(power)
+    return powers
 
 
-def _p1_parameters(p):
-    return [(1, b) for b in range(p)] + [(0, 1)]
+def _products(p, *families):
+    """Divided coordinates of every product of quartic degree that takes
+    one form from each family."""
+    products = [[1]]
+    for family in families:
+        products = [_convolve(u, f, p) for u in products for f in family]
+    inv = [pow(b, -1, p) for b in (1, 4, 6, 4, 1)]
+    return [tuple(c * i % p for c, i in zip(u, inv)) for u in products]
 
 
-def _combine(u, v, A, B, p):
-    return tuple((u * a + v * b) % p for a, b in zip(A, B))
+def _chords(p):
+    """Chords of the quartic curve through two distinct points: rational
+    pairs of X4, and the conjugate roots of an irreducible t^2 + bt + c.
 
-
-def _stratum_x4(p):
-    pts = []
-    for c, d in _p1_parameters(p):
-        pts.append((c ** 4 % p, c ** 3 * d % p, c * c * d * d % p,
-                    c * d ** 3 % p, d ** 4 % p))
-    return pts
-
-
-def _stratum_tbar(p):
-    pars = _p1_parameters(p)
-    pts = []
-    for P in pars:
-        cube = _convolve(_convolve(P, P, p), P, p)
-        for Q in pars:
-            pts.append(_divided_quartic(_convolve(cube, Q, p), p))
-    return pts
-
-
-def _stratum_nbar(p):
-    pts = []
-    # the plain coefficient vectors (g0, g1, g2) are the points of P^2(F_p)
-    for g in zero_locus([], 2, p):
-        pts.append(_divided_quartic(_convolve(g, g, p), p))
-    return pts
-
-
-def _irreducible_quadratics(p):
-    """Monic t^2 + b t + c without roots in F_p, as (b, c) pairs."""
+    The chord through the conjugate roots is the line of sequences with
+    a_(k+2) = -b a_(k+1) - c a_k, one for each seed (a0 : a1).
+    """
+    lines = list(zero_locus([], 1, p))
+    x4 = _products(p, _family(p, "L", 4))
+    pts = [tuple((u * a + v * b) % p for a, b in zip(A, B))
+           for A, B in itertools.combinations(x4, 2) for u, v in lines]
     squares = {x * x % p for x in range(p)}
-    out = []
     for b in range(p):
         for c in range(1, p):
             if (b * b - 4 * c) % p not in squares:
-                out.append((b, c))
-    return out
-
-
-def _stratum_secant(p):
-    """Chords of the quartic curve: rational, tangent, and conjugate-pair."""
-    pts = set(_stratum_tbar(p))
-    combos = _p1_parameters(p)
-
-    ver = _stratum_x4(p)
-    for i in range(len(ver)):
-        for j in range(i + 1, len(ver)):
-            for u, v in combos:
-                pts.add(normalize_point(_combine(u, v, ver[i], ver[j], p), p))
-
-    # chord through the conjugate root pair of t^2 + bt + c, spanned
-    # rationally by the two power-sum vectors
-    for b, c in _irreducible_quadratics(p):
-        s = [2, -b % p]
-        while len(s) < 6:
-            s.append((-b * s[-1] - c * s[-2]) % p)
-        t1 = tuple(s[0:5])
-        t2 = tuple(s[1:6])
-        for u, v in combos:
-            pts.add(normalize_point(_combine(u, v, t1, t2, p), p))
-    return pts
-
-
-def _stratum_discriminant(p):
-    """Quartics with a repeated root: L^2 G, plus squared irreducibles."""
-    pts = set(_stratum_nbar(p))
-    plane = list(zero_locus([], 2, p))
-    for L in _p1_parameters(p):
-        sq = _convolve(L, L, p)
-        for g in plane:
-            pts.add(normalize_point(_divided_quartic(_convolve(sq, g, p), p), p))
-    return pts
-
-
-def _chart_points(p, t0_mult):
-    """Divided chart coordinates of t0^t0_mult * L^(4 - t0_mult).
-
-    t0_mult = 3 gives P1P, 2 gives X2, 1 gives X3.  Every form here is
-    divisible by t0, so the last divided coordinate vanishes and the
-    chart tuple is the first four.
-    """
-    t0 = (1, 0)
-    pts = []
-    for L in _p1_parameters(p):
-        plain = [1]
-        for _ in range(t0_mult):
-            plain = _convolve(plain, t0, p)
-        for _ in range(4 - t0_mult):
-            plain = _convolve(plain, L, p)
-        pts.append(_divided_quartic(plain, p)[:4])
+                for seq in lines:
+                    seq = list(seq)
+                    while len(seq) < 5:
+                        seq.append((-b * seq[-1] - c * seq[-2]) % p)
+                    pts.append(seq)
     return pts
 
 
@@ -301,25 +260,15 @@ def stratum_points(stratum, p):
     X4, and each chart stratum contains the flag point (1:0:0:0).
     """
     _check_prime(p)
-    if stratum == "X4":
-        pts = _stratum_x4(p)
-    elif stratum == "TBAR":
-        pts = _stratum_tbar(p)
-    elif stratum == "NBAR":
-        pts = _stratum_nbar(p)
-    elif stratum == "SECANT":
-        pts = _stratum_secant(p)
-    elif stratum == "DISCRIMINANT":
-        pts = _stratum_discriminant(p)
-    elif stratum == "P1P":
-        pts = _chart_points(p, 3)
-    elif stratum == "X2":
-        pts = _chart_points(p, 2)
-    elif stratum == "X3":
-        pts = _chart_points(p, 1)
-    else:
+    if stratum not in STRATUM_FAMILIES:
         raise ValueError("unknown stratum %r (one of %s)" % (stratum, ", ".join(STRATA)))
-    return PointSet(p, STRATUM_DIM[stratum], pts)
+    pts = _chords(p) if stratum == "SECANT" else []
+    for product in STRATUM_FAMILIES[stratum]:
+        pts += _products(p, *(_family(p, base, k) for base, k in product))
+    # a chart stratum is divisible by t0, so its a4 vanishes and its chart
+    # coordinates are (a0 : a1 : a2 : a3)
+    dim = STRATUM_DIM[stratum]
+    return PointSet(p, dim, [pt[:dim + 1] for pt in pts])
 
 
 ComparisonReport = namedtuple("ComparisonReport", ["equal", "only_a", "only_b"])

@@ -219,6 +219,25 @@ def test_package_randomness_is_seeded():
         assert flagged == (text in bad), text
 
 
+def _float_use(node):
+    """Whether node is a float literal or reads the name float."""
+    return (isinstance(node, ast.Constant) and isinstance(node.value, float)
+            or isinstance(node, ast.Name) and node.id == "float")
+
+
+def test_package_has_no_floats():
+    # every certificate is exact: the package holds no float literal and
+    # never names the float type
+    for name, tree in _package_trees():
+        lines = [node.lineno for node in ast.walk(tree) if _float_use(node)]
+        assert not lines, "%s: float at line %s" % (name, lines)
+    bad = ["x = 0.5", "y = 1e3", "float(x)", "isinstance(c, float)", "f = float"]
+    good = ["x = 1", "Fraction(1, 2)", "'0.5'", "floats = 3", "x.float_part"]
+    for text in bad + good:
+        flagged = any(_float_use(node) for node in ast.walk(ast.parse(text)))
+        assert flagged == (text in bad), text
+
+
 # Module-level names in src/jpencil that neither the package nor the
 # benchmark uses yet, each with the reason it stays.
 _UNUSED_ALLOWED = {

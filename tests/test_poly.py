@@ -57,6 +57,18 @@ def test_equal_scalars_hash_equal():
     assert len({(6 * x).reduce_mod(5), x * FpElement(1, 5)}) == 1
 
 
+def test_rational_coefficients_are_int_or_fraction():
+    # over Q a coefficient is an int or a Fraction, checked value by value
+    with pytest.raises(TypeError):
+        MultiPoly(2, {(1, 0): Fraction(1), (0, 1): FpElement(1, 7)})
+    with pytest.raises(TypeError):
+        MultiPoly(1, {(1,): 0.5})
+    assert MultiPoly(2, {(1, 0): 2, (0, 1): Fraction(1, 2)}).p is None
+    # a map that starts with an element of F_p is over F_p, and reduces the rest
+    mixed = MultiPoly(2, {(1, 0): FpElement(1, 7), (0, 1): Fraction(1, 2)})
+    assert mixed.p == 7 and mixed.terms == {(1, 0): 1, (0, 1): 4}
+
+
 def test_grlex_order_is_degree_then_lex():
     # x0*x3^3 before x2^2*x3^2: same degree, lex on exponents from x0
     lo = grlex_key((0, 0, 2, 2))
@@ -219,6 +231,18 @@ def test_exact_divide_and_failure():
     assert exact_divide(P, x0 + x1) == x0 - x1
     assert exact_divide(P, x0) is None
     assert exact_divide(MultiPoly.zero(2), x0) == MultiPoly.zero(2)
+
+
+def test_exact_divide_over_q_returns_fractions():
+    # int coefficients divide exactly, never into floats
+    twice = MultiPoly(2, {(1, 0): 2, (0, 1): 2})
+    four_times = MultiPoly(2, {(1, 0): 4, (0, 1): 4})
+    half = exact_divide(twice, four_times)
+    assert half.terms == {(0, 0): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in half.terms.values())
+    q = exact_divide(MultiPoly(2, {(2, 0): 3, (0, 2): -3}), MultiPoly(2, {(1, 0): 2, (0, 1): 2}))
+    assert q.terms == {(1, 0): Fraction(3, 2), (0, 1): Fraction(-3, 2)}
+    assert all(type(c) is Fraction for c in q.terms.values())
 
 
 def test_poly_gcd_known_factors():
