@@ -16,7 +16,7 @@ from .poly import MultiPoly, exact_divide, grlex_key
 from .linalg import bareiss_rank, mat_vec, is_zero_vector
 from .exterior import (DiffForm, PolyVectorField, descends_check,
                        euler_field, exterior_derivative, integrability_check,
-                       interior_product, saturate, volume_form,
+                       interior_product, normalize_form, saturate, volume_form,
                        wedge, pullback_form)
 from .binary import cubic_discriminant_plain, invariant_polys
 from .components import build_rational
@@ -158,6 +158,8 @@ def _monomials(arity, degree):
 def _check_tangent_input(omega_bar):
     if omega_bar.arity != 4 or omega_bar.degree != 1:
         raise ValueError("tangent system expects a 1-form on four variables")
+    if any(P.p is not None for P in omega_bar.terms.values()):
+        raise ValueError("the tangent system is over Q; the form has coefficients mod a prime")
     if omega_bar.coefficient_degrees() != [3] or not omega_bar.has_homogeneous_coefficients():
         raise ValueError("coefficients must be homogeneous of degree 3")
     if not descends_check(omega_bar).ok:
@@ -171,15 +173,30 @@ TangentReport = namedtuple(
     ["ambient_dim", "raw_kernel_dim", "projective_dim", "contains_omega_bar"])
 
 
+def _primitive_integer_form(omega):
+    """The multiple of a 1-form over Q whose coefficients are coprime ints
+    (normalize_form, whose Fractions all have denominator 1); every nonzero
+    multiple of omega gives the same form."""
+    form, _ = normalize_form(omega)
+    return DiffForm(form.arity, 1, {
+        idx: MultiPoly(form.arity, {e: c.numerator for e, c in P.terms.items()})
+        for idx, P in form.terms.items()})
+
+
 def tangent_system_matrices(omega_bar):
-    """Euler and linearized-integrability rows on the 80 unknowns.
+    """Euler and linearized-integrability rows on the 80 unknowns, as dense
+    rows of Python ints.
 
     The unknown eta = sum b_s dx_s has four degree-3 coefficient slots of 20
     monomials each; column s*20+k is the coefficient of the k-th monomial in
     slot s.  Euler rows: the 35 degree-4 coefficients of sum x_s b_s.
     Integrability rows: the 4 x 56 degree-5 coefficients of the four basis
-    3-forms of omega ^ d(eta) + eta ^ d(omega).
+    3-forms of omega ^ d(eta) + eta ^ d(omega), for omega the primitive
+    integer multiple of omega_bar.  The rows are linear in omega, so the
+    ranks and the kernel are those of omega_bar, and every nonzero multiple
+    of omega_bar gives the same rows.
     """
+    omega = _primitive_integer_form(omega_bar)
     mono3 = _monomials(4, 3)
     mono4 = _monomials(4, 4)
     mono5 = _monomials(4, 5)
@@ -189,23 +206,22 @@ def tangent_system_matrices(omega_bar):
             col_of[(s, m)] = s * 20 + k
     n_cols = 80
 
-    euler_rows = [[Fraction(0)] * n_cols for _ in mono4]
+    euler_rows = [[0] * n_cols for _ in mono4]
     row_of_mono4 = {m: i for i, m in enumerate(mono4)}
     for s in range(4):
         for m in mono3:
             target = tuple(e + (1 if i == s else 0) for i, e in enumerate(m))
-            euler_rows[row_of_mono4[target]][col_of[(s, m)]] = Fraction(1)
+            euler_rows[row_of_mono4[target]][col_of[(s, m)]] = 1
 
-    d_omega = exterior_derivative(omega_bar)
+    d_omega = exterior_derivative(omega)
     triples = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    integ_rows = [[Fraction(0)] * n_cols for _ in range(4 * len(mono5))]
+    integ_rows = [[0] * n_cols for _ in range(4 * len(mono5))]
     row_of_m5 = {m: i for i, m in enumerate(mono5)}
     for s in range(4):
-        dx_s = DiffForm(4, 1, {(s,): MultiPoly.constant(4, Fraction(1))})
+        dx_s = DiffForm(4, 1, {(s,): MultiPoly.constant(4, 1)})
         for k, m in enumerate(mono3):
-            mono_poly = MultiPoly.monomial(4, m, Fraction(1))
-            eta = dx_s * mono_poly
-            residual = wedge(omega_bar, exterior_derivative(eta)) + wedge(eta, d_omega)
+            eta = dx_s * MultiPoly.monomial(4, m, 1)
+            residual = wedge(omega, exterior_derivative(eta)) + wedge(eta, d_omega)
             col = s * 20 + k
             for t_idx, triple in enumerate(triples):
                 coeff = residual.terms.get(triple)
@@ -220,7 +236,7 @@ def _coefficient_vector(omega_bar, mono3):
     vec = []
     for s in range(4):
         coeff = omega_bar.terms.get((s,), MultiPoly.zero(4))
-        vec.extend(coeff.terms.get(m, Fraction(0)) for m in mono3)
+        vec.extend(coeff.terms.get(m, 0) for m in mono3)
     return vec
 
 
@@ -230,13 +246,13 @@ def tangent_system_dim(omega_bar):
     Each dimension is 80 minus an exact Bareiss rank: of the 35 Euler rows
     for the ambient space of descending forms, and of the full 259 x 80
     system for the kernel.  contains_omega_bar multiplies both blocks by
-    the coefficient vector of omega_bar itself.
+    the coefficient vector of the primitive integer multiple of omega_bar.
     """
     _check_tangent_input(omega_bar)
     euler_rows, integ_rows, mono3 = tangent_system_matrices(omega_bar)
     ambient_dim = 80 - bareiss_rank(euler_rows)
     raw_kernel_dim = 80 - bareiss_rank(euler_rows + integ_rows)
-    vec = _coefficient_vector(omega_bar, mono3)
+    vec = _coefficient_vector(_primitive_integer_form(omega_bar), mono3)
     contains = (is_zero_vector(mat_vec(euler_rows, vec))
                 and is_zero_vector(mat_vec(integ_rows, vec)))
     return TangentReport(ambient_dim, raw_kernel_dim, raw_kernel_dim - 1, contains)

@@ -278,7 +278,7 @@ def integrability_check(omega):
     return IntegrabilityResult(residual, residual.is_zero)
 
 
-def _normalize_form(omega):
+def normalize_form(omega):
     """Scale by the primitive scale of all coefficients, with the leading
     coefficient of the first nonzero component as pivot.  Returns (form,
     scale) with form == omega * scale."""
@@ -304,7 +304,7 @@ def saturate(omega):
     coeffs = [c for c in omega.terms.values()]
     g = coefficient_gcd(coeffs)
     divided = DiffForm(omega.arity, 1, {idx: exact_divide(c, g) for idx, c in omega.terms.items()})
-    form, scale = _normalize_form(divided)
+    form, scale = normalize_form(divided)
     factor = g * (Fraction(1) / scale)
     return SaturationResult(form, factor)
 

@@ -17,7 +17,9 @@ def _integer_rows(rows):
     for row in rows:
         if any(row):
             scale = primitive_scale(row, 1)
-            out.append([int(c * scale) for c in row])
+            # lcm of the denominators over gcd of the numerators, coprime
+            lcm, g = scale.numerator, scale.denominator
+            out.append([c.numerator * (lcm // c.denominator) // g for c in row])
             product *= scale
     return out, product
 
@@ -27,7 +29,12 @@ def _bareiss(m):
     intermediate entries stay integral (they are minors of the input),
     divisions are exact.  Returns the rank, the sign of the row swaps and
     the last pivot, which for a square m of full rank is its determinant
-    up to that sign."""
+    up to that sign.
+
+    Each step rewrites every row below the pivot from the pivot column
+    on, in one list comprehension; left of it both rows hold zeros.  A row
+    with factor 0 is only scaled by pivot / prev, which is the identity
+    when the two are equal."""
     n_rows = len(m)
     n_cols = len(m[0])
     rank = 0
@@ -45,10 +52,14 @@ def _bareiss(m):
             m[rank], m[pivot_row] = m[pivot_row], m[rank]
             sign = -sign
         pivot = m[rank][col]
+        top = m[rank][col:]
         for r in range(rank + 1, n_rows):
-            factor = m[r][col]
-            for c in range(col, n_cols):
-                m[r][c] = (pivot * m[r][c] - factor * m[rank][c]) // prev
+            row = m[r]
+            factor = row[col]
+            if factor:
+                row[col:] = [(pivot * a - factor * b) // prev for a, b in zip(row[col:], top)]
+            elif pivot != prev:
+                row[col:] = [pivot * a // prev for a in row[col:]]
         prev = pivot
         rank += 1
         if rank == n_rows:
@@ -58,6 +69,8 @@ def _bareiss(m):
 
 def bareiss_rank(rows):
     """Rank of a rational matrix by fraction-free elimination."""
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("rank needs rows of one length")
     m, _ = _integer_rows(rows)
     if not m:
         return 0
@@ -80,7 +93,7 @@ def bareiss_det(rows):
 
 
 def mat_vec(rows, vec):
-    return [sum((c * v for c, v in zip(row, vec)), Fraction(0)) for row in rows]
+    return [sum((c * v for c, v in zip(row, vec) if c), 0) for row in rows]
 
 
 def is_zero_vector(vec):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from jpencil.components import build_rational
 from jpencil.exceptional import (
     PipelineError,
     affine_fields,
@@ -164,6 +165,35 @@ def test_tangent_input_guards():
     with pytest.raises(ValueError):
         tangent_system_dim(DiffForm.one_form([x[0] ** 3, MultiPoly.zero(4),
                                               MultiPoly.zero(4), MultiPoly.zero(4)]))
+
+
+def test_tangent_input_rejects_a_form_over_fp():
+    # the system is over Q: residues read as rationals gave a kernel of 0
+    # (mod 7) or 9 (mod 5) instead of an error
+    ref = reference_form()
+    for p in (5, 7):
+        reduced = DiffForm(4, 1, {idx: P.reduce_mod(p) for idx, P in ref.terms.items()})
+        with pytest.raises(ValueError):
+            tangent_system_dim(reduced)
+
+
+def _rational_quadric(rng):
+    x = [MultiPoly.variable(4, i) for i in range(4)]
+    return sum((Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * x[i] * x[j]
+                for i in range(4) for j in range(i, 4)), MultiPoly.zero(4))
+
+
+def test_tangent_rows_are_those_of_the_primitive_integer_form():
+    # the rows are linear in the form, so every multiple of it gives the
+    # rows of its primitive integer multiple, as Python ints
+    rng = random.Random(7008)
+    forms = [reference_form(), build_rational(_rational_quadric(rng), _rational_quadric(rng))]
+    for omega in forms:
+        euler_rows, integ_rows, _ = tangent_system_matrices(omega)
+        assert all(type(c) is int for row in euler_rows + integ_rows for c in row)
+        scaled = tangent_system_matrices(omega * Fraction(-3, 7))
+        assert scaled[:2] == (euler_rows, integ_rows)
+        assert tangent_system_dim(omega * Fraction(-3, 7)) == tangent_system_dim(omega)
 
 
 def test_in_tangent_kernel():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jpencil.linalg import bareiss_det, bareiss_rank
 
@@ -13,6 +15,14 @@ def test_rank_known():
     assert bareiss_rank([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]) == 2
     assert bareiss_rank([]) == 0
     assert bareiss_rank([[Fraction(0), Fraction(0)]]) == 0
+
+
+def test_rank_rejects_ragged_rows():
+    # the row update zips a row with the pivot row, so a short row would
+    # otherwise be cut silently
+    for bad in ([[1], [2, 3]], [[1, 2], [3]], [[1, 0, 0], [0, 1]], [[0], [1, 2]]):
+        with pytest.raises(ValueError):
+            bareiss_rank(bad)
 
 
 def _sympy_rank(rows, n_cols):
@@ -97,3 +107,34 @@ def test_det_multiplicative_random():
     for _ in range(10):
         A, B = rand_matrix(), rand_matrix()
         assert bareiss_det(mat_mul(A, B)) == bareiss_det(A) * bareiss_det(B)
+
+
+# Sparse entries, ints and Fractions: zeros give rows that are zero in a
+# pivot column (the update only rescales them), and the many ones give
+# repeated equal pivots (the rescale is the identity and is skipped).
+_entries = st.one_of(st.sampled_from((0, 0, 0, 1, 1)), st.integers(-4, 4),
+                     st.fractions(-4, 4, max_denominator=5))
+
+
+@st.composite
+def _matrices(draw, square):
+    n_rows = draw(st.integers(1, 8))
+    n_cols = n_rows if square else draw(st.integers(1, 8))
+    flat = draw(st.lists(_entries, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    rows = [flat[i * n_cols:(i + 1) * n_cols] for i in range(n_rows)]
+    if n_rows > 2 and draw(st.booleans()):
+        # one row a combination of two others
+        t, i, j = draw(st.permutations(range(n_rows)))[:3]
+        k = draw(_entries)
+        rows[t] = [k * a + b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+@given(_matrices(square=False))
+def test_rank_law_matches_sympy(rows):
+    assert bareiss_rank(rows) == _sympy_rank(rows, len(rows[0]))
+
+
+@given(_matrices(square=True))
+def test_det_law_matches_sympy(rows):
+    assert bareiss_det(rows) == _sympy_det(rows)
