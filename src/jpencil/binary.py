@@ -176,45 +176,20 @@ def invariant_polys():
     return _invariants_from([MultiPoly.variable(5, i) for i in range(5)])
 
 
-class JValue:
-    """Value of the j-map: finite, INFINITY (D = 0), or INDETERMINATE
-    (Q = C = 0, the base locus).  RAW is Q^3/D; CLASSICAL is 1728 Q^3/D,
-    which puts the vanishing of C on the fiber 1728."""
-
-    __slots__ = ("kind", "value", "normalization")
-
-    FINITE = "FINITE"
-    INFINITY = "INFINITY"
-    INDETERMINATE = "INDETERMINATE"
-
-    def __init__(self, kind, value, normalization):
-        self.kind = kind
-        self.value = value
-        self.normalization = normalization
-
-    def __eq__(self, other):
-        if not isinstance(other, JValue):
-            return NotImplemented
-        return (self.kind, self.value, self.normalization) == (other.kind, other.value, other.normalization)
-
-    def __repr__(self):
-        if self.kind == JValue.FINITE:
-            return "JValue(%s, %s)" % (self.value, self.normalization)
-        return "JValue(%s)" % self.kind
-
-
 def j_invariant(F, normalization="RAW"):
+    """The value of the j-map at a quartic: a Fraction, or "INFINITY"
+    (D = 0), or "INDETERMINATE" (Q = C = 0, the base locus).  RAW is
+    Q^3/D; CLASSICAL is 1728 Q^3/D, which puts the vanishing of C on the
+    fiber 1728."""
     if normalization not in ("RAW", "CLASSICAL"):
         raise ValueError("normalization must be RAW or CLASSICAL")
     inv = invariants_qcd(F)
     if not inv.Q and not inv.C:
-        return JValue(JValue.INDETERMINATE, None, normalization)
+        return "INDETERMINATE"
     if not inv.D:
-        return JValue(JValue.INFINITY, None, normalization)
+        return "INFINITY"
     value = inv.Q ** 3 / inv.D
-    if normalization == "CLASSICAL":
-        value = 1728 * value
-    return JValue(JValue.FINITE, value, normalization)
+    return 1728 * value if normalization == "CLASSICAL" else value
 
 
 def transform(F, matrix):
@@ -277,7 +252,7 @@ OsculatingFlag = namedtuple(
     ["point", "hyperplane", "plane", "line", "line_param", "conic_param", "cubic_param"])
 
 
-def osculating_flag(point, degree=4):
+def osculating_flag(point):
     """Flag of osculating subspaces to the degree-4 Veronese curve at 4p.
 
     hyperplane / plane / line are lists of 1, 2, 3 linear functionals in the
@@ -289,8 +264,6 @@ def osculating_flag(point, degree=4):
         conic_param(q) : divisor 2p + 2q, cofactor L_p L_q^2
         cubic_param(q) : divisor p + 3q, cofactor L_q^3
     """
-    if degree != 4:
-        raise ValueError("the flag is implemented for quartics")
     c, d = (Fraction(x) for x in point)
     if not c and not d:
         raise ValueError("zero point")
@@ -312,7 +285,7 @@ def osculating_flag(point, degree=4):
     quartic = MultiPoly.zero(7)
     for i in range(5):
         quartic = quartic + comb(4, i) * a_vars[i] * t0 ** (4 - i) * t1 ** i
-    expanded = quartic.linear_substitute(substitution, 7)
+    expanded = quartic.linear_substitute(substitution)
     # Coefficient of u^(4-j) v^j, as a linear functional in the a_i.
     functionals = []
     for j in range(5):

@@ -42,27 +42,10 @@ from .exterior import (
     parse_form_text,
     saturate,
 )
-from .poly import MultiPoly
-from .varietyprobe import (
-    BadPrimeError,
-    compare_sets,
-    stratum_points,
-    zero_locus,
-)
+from .poly import BadPrimeError, MultiPoly
+from .varietyprobe import compare_sets, stratum_points, zero_locus
 
 DEFAULT_PRIMES = (5, 7, 11, 13)
-
-PROBE_TARGETS = ("sing-omega4", "sing-omega-bar", "sing-d-omega-bar",
-                 "base-locus", "delta-sing")
-
-# the strata whose union each probe target's locus is compared with;
-# sing-d-omega-bar is compared with the expected count 1 instead
-_PROBE_STRATA = {
-    "base-locus": ("TBAR",),
-    "sing-omega4": ("TBAR", "NBAR"),
-    "delta-sing": ("TBAR", "NBAR"),
-    "sing-omega-bar": ("P1P", "X2", "X3"),
-}
 
 
 # -- report plumbing -------------------------------------------------------
@@ -155,46 +138,34 @@ def _infer_vars(texts):
 
 # -- binary quartic commands -----------------------------------------------
 
-def _j_text(jv):
-    if jv.kind == binary.JValue.FINITE:
-        return jv.value
-    return jv.kind
+def _quartic_items(command, text, keys):
+    """The report of a quartic command: the listed keys, in their order,
+    of the quartic's invariants, root pattern and j-values."""
+    F = _parse_quartic(text)
+    inv = binary.invariants_qcd(F)
+    pattern = binary.root_pattern(F)
+    values = {
+        "input": text,
+        "divided": ",".join(str(c) for c in F.coeffs),
+        "Q": inv.Q,
+        "C": inv.C,
+        "D": inv.D,
+        "jRaw": binary.j_invariant(F, "RAW"),
+        "jClassical": binary.j_invariant(F, "CLASSICAL"),
+        "pattern": list(pattern.multiplicities),
+        "class": pattern.orbit_class,
+    }
+    return [("command", command)] + [(key, values[key]) for key in keys], 0
 
 
 def _cmd_invariants(args):
-    F = _parse_quartic(args.quartic)
-    inv = binary.invariants_qcd(F)
-    pattern = binary.root_pattern(F)
-    items = [
-        ("command", "invariants"),
-        ("input", args.quartic),
-        ("divided", ",".join(str(c) for c in F.coeffs)),
-        ("Q", inv.Q),
-        ("C", inv.C),
-        ("D", inv.D),
-        ("jRaw", _j_text(binary.j_invariant(F, "RAW"))),
-        ("jClassical", _j_text(binary.j_invariant(F, "CLASSICAL"))),
-        ("pattern", list(pattern.multiplicities)),
-        ("class", pattern.orbit_class),
-    ]
-    return items, 0
+    return _quartic_items("invariants", args.quartic, (
+        "input", "divided", "Q", "C", "D", "jRaw", "jClassical", "pattern", "class"))
 
 
 def _cmd_classify(args):
-    F = _parse_quartic(args.quartic)
-    pattern = binary.root_pattern(F)
-    inv = binary.invariants_qcd(F)
-    items = [
-        ("command", "classify"),
-        ("input", args.quartic),
-        ("pattern", list(pattern.multiplicities)),
-        ("class", pattern.orbit_class),
-        ("Q", inv.Q),
-        ("C", inv.C),
-        ("D", inv.D),
-        ("jClassical", _j_text(binary.j_invariant(F, "CLASSICAL"))),
-    ]
-    return items, 0
+    return _quartic_items("classify", args.quartic, (
+        "input", "pattern", "class", "Q", "C", "D", "jClassical"))
 
 
 def _cmd_veronese(args):
@@ -378,42 +349,46 @@ def _witness_items(label, points):
     return items
 
 
-def _probe_input(target):
-    """The polynomials whose common zeros a probe target enumerates, with
-    the variable names the other commands print the same object in."""
-    if target == "base-locus":
-        inv = binary.invariant_polys()
-        return [inv.Q, inv.C], _QUARTIC_NAMES
-    if target == "sing-omega4":
-        return build_omega4().coefficients(), _QUARTIC_NAMES
-    if target == "delta-sing":
-        D = binary.invariant_polys().D
-        return [D] + [D.partial_derivative(i) for i in range(5)], _QUARTIC_NAMES
-    if target == "sing-omega-bar":
-        return derive_omega_bar().omega_bar.coefficients(), _A_NAMES
-    if target == "sing-d-omega-bar":
-        return list(exterior_derivative(reference_form()).terms.values()), _X_NAMES
-    raise ValueError("unknown probe target %r" % target)
+def _delta_and_partials():
+    D = binary.invariant_polys().D
+    return [D] + [D.partial_derivative(i) for i in range(5)]
 
 
-def _probe_one(target, polys, names, p):
-    """One prime block: the locus against its strata, or for
-    sing-d-omega-bar against the expected count 1.  Every input that
+# Each probe target: the builder of the polynomials whose common zeros it
+# enumerates, the variable names the other commands print the same object
+# in, and the strata whose union the locus is compared with, or None for
+# the expected count 1.
+_PROBES = {
+    "sing-omega4": (lambda: build_omega4().coefficients(), _QUARTIC_NAMES, ("TBAR", "NBAR")),
+    "sing-omega-bar": (lambda: derive_omega_bar().omega_bar.coefficients(), _A_NAMES,
+                       ("P1P", "X2", "X3")),
+    "sing-d-omega-bar": (lambda: list(exterior_derivative(reference_form()).terms.values()),
+                         _X_NAMES, None),
+    "base-locus": (lambda: list(binary.invariant_polys()[:2]), _QUARTIC_NAMES, ("TBAR",)),
+    "delta-sing": (_delta_and_partials, _QUARTIC_NAMES, ("TBAR", "NBAR")),
+}
+
+PROBE_TARGETS = tuple(_PROBES)
+
+
+def _probe_one(polys, names, strata, p):
+    """One prime block: the locus against the union of the strata, or
+    with strata None against the expected count 1.  Every input that
     vanishes identically mod p (a bad reduction, which imposes no
     condition on the locus) is named before the witnesses."""
     locus = zero_locus(polys, len(names) - 1, p)
     items = [("prime", p), ("locusCount", len(locus))]
     vanishing = [("vanishesModP", polytext.poly_to_text(P, names))
                  for P in polys if P.reduce_mod(p).is_zero]
-    if target == "sing-d-omega-bar":
+    if strata is None:
         equal = len(locus) == 1
         items += [("expectedCount", 1), ("equal", equal)] + vanishing
         if not equal:
             items += _witness_items("witness", locus)
         return items, equal
-    strata = [stratum_points(name, p) for name in _PROBE_STRATA[target]]
-    union = strata[0]
-    for other in strata[1:]:
+    point_sets = [stratum_points(name, p) for name in strata]
+    union = point_sets[0]
+    for other in point_sets[1:]:
         union = union.union(other)
     report = compare_sets(locus, union)
     items += [("stratumCount", len(union)), ("equal", report.equal)] + vanishing
@@ -425,11 +400,12 @@ def _probe_one(target, polys, names, p):
 
 def _cmd_probe(args):
     primes = [args.prime] if args.prime else list(DEFAULT_PRIMES)
-    polys, names = _probe_input(args.target)
+    build, names, strata = _PROBES[args.target]
+    polys = build()
     items = [("command", "probe"), ("target", args.target)]
     all_ok = True
     for p in primes:
-        block, ok = _probe_one(args.target, polys, names, p)
+        block, ok = _probe_one(polys, names, strata, p)
         items += block
         all_ok = all_ok and ok
     return items, 0 if all_ok else 4

@@ -107,6 +107,4 @@ def build_linear_pullback(matrix, eta):
     if bareiss_rank(matrix) != 3:
         raise ValueError("matrix rank below 3")
     _certify(eta, "pullback input")
-    new_arity = len(matrix[0])
-    omega = pullback_form(matrix, eta, new_arity)
-    return _certify(omega, "pullback constructor")
+    return _certify(pullback_form(matrix, eta), "pullback constructor")

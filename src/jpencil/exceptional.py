@@ -13,7 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .poly import MultiPoly, exact_divide, grlex_key
-from .linalg import bareiss_rank, mat_vec, is_zero_vector
+from .linalg import bareiss_rank, mat_vec
 from .exterior import (DiffForm, PolyVectorField, descends_check,
                        euler_field, exterior_derivative, integrability_check,
                        interior_product, normalize_form, saturate, volume_form,
@@ -57,7 +57,7 @@ def restrict_to_hyperplane(omega, inclusion):
         raise ValueError("inclusion rows %d, form arity %d" % (len(inclusion), omega.arity))
     if bareiss_rank(inclusion) != cols:
         raise ValueError("inclusion is not injective")
-    return pullback_form(inclusion, omega, cols)
+    return pullback_form(inclusion, omega)
 
 
 ExceptionalReport = namedtuple(
@@ -158,8 +158,6 @@ def _monomials(arity, degree):
 def _check_tangent_input(omega_bar):
     if omega_bar.arity != 4 or omega_bar.degree != 1:
         raise ValueError("tangent system expects a 1-form on four variables")
-    if any(P.p is not None for P in omega_bar.terms.values()):
-        raise ValueError("the tangent system is over Q; the form has coefficients mod a prime")
     if omega_bar.coefficient_degrees() != [3] or not omega_bar.has_homogeneous_coefficients():
         raise ValueError("coefficients must be homogeneous of degree 3")
     if not descends_check(omega_bar).ok:
@@ -194,8 +192,11 @@ def tangent_system_matrices(omega_bar):
     3-forms of omega ^ d(eta) + eta ^ d(omega), for omega the primitive
     integer multiple of omega_bar.  The rows are linear in omega, so the
     ranks and the kernel are those of omega_bar, and every nonzero multiple
-    of omega_bar gives the same rows.
+    of omega_bar gives the same rows.  A form over F_p is a ValueError:
+    its residues are not the integers of a form over Q.
     """
+    if any(P.p is not None for P in omega_bar.terms.values()):
+        raise ValueError("the tangent system is over Q; the form has coefficients mod a prime")
     omega = _primitive_integer_form(omega_bar)
     mono3 = _monomials(4, 3)
     mono4 = _monomials(4, 4)
@@ -253,8 +254,7 @@ def tangent_system_dim(omega_bar):
     ambient_dim = 80 - bareiss_rank(euler_rows)
     raw_kernel_dim = 80 - bareiss_rank(euler_rows + integ_rows)
     vec = _coefficient_vector(_primitive_integer_form(omega_bar), mono3)
-    contains = (is_zero_vector(mat_vec(euler_rows, vec))
-                and is_zero_vector(mat_vec(integ_rows, vec)))
+    contains = not any(mat_vec(euler_rows, vec)) and not any(mat_vec(integ_rows, vec))
     return TangentReport(ambient_dim, raw_kernel_dim, raw_kernel_dim - 1, contains)
 
 
@@ -285,7 +285,7 @@ def check_double_tangency():
     and a3^3 does not divide: the intersection multiplicity is exactly two.
     """
     D = invariant_polys().D
-    D_H = D.linear_substitute(osculating_inclusion(), 4)
+    D_H = D.linear_substitute(osculating_inclusion())
     a = [MultiPoly.variable(4, i) for i in range(4)]
     delta3 = cubic_discriminant_plain(a[0], 4 * a[1], 6 * a[2], 4 * a[3]) * Fraction(1, 256)
     reference_point = (Fraction(0), Fraction(1), Fraction(0), Fraction(-1))

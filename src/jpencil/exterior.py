@@ -314,23 +314,21 @@ def pullback_form(matrix, eta, new_arity=None):
     old coordinates z_i = sum_j matrix[i][j] y_j.
 
     matrix has one row per old variable (eta's arity) and one column per new
-    variable.  Coefficients are composed with the map and each dz_i is
-    replaced by sum_j matrix[i][j] dy_j.
+    variable; new_arity, when given, must be that column count.
+    Coefficients are composed with the map and each dz_i is replaced by
+    sum_j matrix[i][j] dy_j.
     """
     if len(matrix) != eta.arity:
         raise ValueError("matrix has %d rows for a form of arity %d" % (len(matrix), eta.arity))
-    if new_arity is None:
-        new_arity = len(matrix[0]) if matrix else 0
-    basis_images = []
-    for i in range(eta.arity):
-        row = matrix[i]
-        basis_images.append(DiffForm(new_arity, 1, {
-            (j,): MultiPoly.constant(new_arity, row[j])
-            for j in range(new_arity)
-        }))
-    result = DiffForm.zero(new_arity, eta.degree)
+    cols = len(matrix[0]) if matrix else 0
+    if new_arity is not None and new_arity != cols:
+        raise ValueError("new_arity %d, but the matrix has %d columns" % (new_arity, cols))
+    basis_images = [
+        DiffForm(cols, 1, {(j,): MultiPoly.constant(cols, row[j]) for j in range(cols)})
+        for row in matrix]
+    result = DiffForm.zero(cols, eta.degree)
     for idx, coeff in eta.terms.items():
-        pulled = DiffForm.zero_form(coeff.linear_substitute(matrix, new_arity))
+        pulled = DiffForm.zero_form(coeff.linear_substitute(matrix))
         for i in idx:
             pulled = wedge(pulled, basis_images[i])
         result = result + pulled

@@ -93,8 +93,7 @@ def bareiss_det(rows):
 
 
 def mat_vec(rows, vec):
+    """The product of a matrix, given by its rows, and a vector."""
+    if any(len(row) != len(vec) for row in rows):
+        raise ValueError("a matrix row and the vector differ in length")
     return [sum((c * v for c, v in zip(row, vec) if c), 0) for row in rows]
-
-
-def is_zero_vector(vec):
-    return all(not c for c in vec)

@@ -1,7 +1,8 @@
 """Exact scalars and sparse multivariate polynomials.
 
 Two scalar domains, both exact: arbitrary-precision rationals
-(fractions.Fraction) and prime fields F_p for a runtime prime p >= 5.
+(fractions.Fraction) and prime fields F_p for a runtime prime p >= 5,
+which check_prime admits for every caller.
 There is no floating point anywhere in this package.  A polynomial owns
 its domain: MultiPoly.p is None over Q and the prime over F_p, where the
 coefficients are ints in [0, p).  FpElement is only an input type, which
@@ -19,14 +20,41 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 
 
+class BadPrimeError(ValueError):
+    """The prime is unusable: composite, too small, or divides a denominator."""
+
+
+def is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+# The moduli admitted so far, so that admitting one again is a set lookup.
+_PRIMES = set()
+
+
+def check_prime(p):
+    """Admit p as the modulus of a prime field: a prime p >= 5, else a
+    BadPrimeError.  The one check for polynomials, elements and probes."""
+    if p not in _PRIMES:
+        if p < 5 or not is_prime(p):
+            raise BadPrimeError("need a prime p >= 5, got %r" % (p,))
+        _PRIMES.add(p)
+
+
 class FpElement:
     """An element of F_p, as input to a polynomial; it does no arithmetic."""
 
     __slots__ = ("p", "v")
 
     def __init__(self, v, p):
-        if p < 5:
-            raise ValueError("prime fields are supported for p >= 5 only, got p=%d" % p)
+        check_prime(p)
         self.p = p
         self.v = v % p
 
@@ -124,8 +152,8 @@ class MultiPoly:
     __slots__ = ("arity", "terms", "p")
 
     def __init__(self, arity, terms=None, p=None):
-        if p is not None and p < 5:
-            raise ValueError("prime fields are supported for p >= 5 only, got p=%d" % p)
+        if p is not None and p not in _PRIMES:
+            check_prime(p)
         clean = {}
         if terms:
             if p is None:
@@ -305,13 +333,12 @@ class MultiPoly:
             acc = acc + term
         return acc if p is None else acc % p
 
-    def linear_substitute(self, matrix, new_arity=None):
+    def linear_substitute(self, matrix):
         """Compose with a linear map: one matrix row per old variable, one
         column per new variable; old_i maps to sum_j matrix[i][j] * new_j."""
         if len(matrix) != self.arity:
             raise ValueError("matrix has %d rows, arity is %d" % (len(matrix), self.arity))
-        if new_arity is None:
-            new_arity = len(matrix[0]) if matrix else 0
+        new_arity = len(matrix[0]) if matrix else 0
         for row in matrix:
             if len(row) != new_arity:
                 raise ValueError("ragged substitution matrix")
@@ -368,7 +395,8 @@ class MultiPoly:
 
     def reduce_mod(self, p):
         """The image in F_p[x]; terms that vanish mod p are dropped.
-        ValueError as in to_fp, and for a polynomial over another prime."""
+        ValueError as in to_fp, and for a polynomial over another prime;
+        BadPrimeError for a p that check_prime does not admit."""
         if self.p is not None and self.p != p:
             raise ValueError("modulus mismatch: %d vs %d" % (p, self.p))
         return MultiPoly(self.arity, self.terms, p)
@@ -552,7 +580,7 @@ def _unit_line(polys):
         # P(s*u + t*v), homogeneous in (s, t), read at s = 1
         matrix = [[a, b] for a, b in zip(u, v)]
         restricted = [MultiPoly(1, {(e[1],): c for e, c in R.terms.items()}, p)
-                      for P in polys if not (R := P.linear_substitute(matrix, 2)).is_zero]
+                      for P in polys if not (R := P.linear_substitute(matrix)).is_zero]
         if _fold_gcd(restricted).total_degree() == 0:
             return u, v
     return None

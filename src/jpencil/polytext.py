@@ -163,13 +163,8 @@ class _Parser:
         raise PolyParseError("unexpected token %r" % (value,))
 
 
-def parse_poly(text, var_names=None):
-    """Parse a polynomial string over the given ordered variables.
-
-    With var_names omitted the variables are inferred from the string itself.
-    """
-    if var_names is None:
-        var_names = variables_in(text)
+def parse_poly(text, var_names):
+    """Parse a polynomial string over the given ordered variables."""
     tokens = _tokenize(text)
     if not tokens:
         raise PolyParseError("empty polynomial string")
@@ -182,10 +177,6 @@ def parse_poly(text, var_names=None):
     if parser.pos != len(tokens):
         raise PolyParseError("trailing input %r" % (parser.tokens[parser.pos][1],))
     return result
-
-
-def _coeff_text(c):
-    return str(c)
 
 
 def poly_to_text(P, var_names):
@@ -206,11 +197,11 @@ def poly_to_text(P, var_names):
         negative = c < 0
         mag = -c if negative else c
         if not vars_part:
-            body = _coeff_text(mag)
+            body = str(mag)
         elif mag == 1:
             body = "*".join(vars_part)
         else:
-            body = "*".join([_coeff_text(mag)] + vars_part)
+            body = "*".join([str(mag)] + vars_part)
         pieces.append(("-" if negative else "+", body))
     sign, body = pieces[0]
     out = ("-" if sign == "-" else "") + body

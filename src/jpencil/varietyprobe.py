@@ -20,6 +20,9 @@ the forms divisible by t0; the flag point is [1:0].
 import itertools
 from collections import namedtuple
 
+# callers also import BadPrimeError and is_prime from this module
+from .poly import BadPrimeError, check_prime, is_prime
+
 # |P^4(F_31)| is about 954k and is the intended ceiling
 POINT_CAP = 1000000
 
@@ -47,26 +50,6 @@ STRATUM_DIM = {
 }
 
 
-class BadPrimeError(ValueError):
-    """The prime is unusable: composite, too small, or divides a denominator."""
-
-
-def is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _check_prime(p):
-    if not is_prime(p) or p < 5:
-        raise BadPrimeError("need a prime p >= 5, got %r" % (p,))
-
-
 def normalize_point(pt, p):
     """Scale so the first nonzero coordinate is 1."""
     vec = [x % p for x in pt]
@@ -88,7 +71,7 @@ class PointSet:
     __slots__ = ("p", "dim", "points")
 
     def __init__(self, p, dim, points=()):
-        _check_prime(p)
+        check_prime(p)
         clean = set()
         for pt in points:
             if len(pt) != dim + 1:
@@ -162,7 +145,7 @@ def zero_locus(polys, n, p):
     powers reduced mod p; a point is dropped at the first polynomial
     that does not vanish there.
     """
-    _check_prime(p)
+    check_prime(p)
     polys = list(polys)
     for P in polys:
         if P.arity != n + 1:
@@ -259,7 +242,7 @@ def stratum_points(stratum, p):
     Degenerate parameter values are kept, so TBAR and NBAR both contain
     X4, and each chart stratum contains the flag point (1:0:0:0).
     """
-    _check_prime(p)
+    check_prime(p)
     if stratum not in STRATUM_FAMILIES:
         raise ValueError("unknown stratum %r (one of %s)" % (stratum, ", ".join(STRATA)))
     pts = _chords(p) if stratum == "SECANT" else []

@@ -22,7 +22,7 @@ from jpencil.exterior import (PolyVectorField, descends_check, differential,
                               euler_field, exterior_derivative,
                               integrability_check, interior_product,
                               lie_derivative)
-from jpencil.linalg import bareiss_rank, is_zero_vector, mat_vec
+from jpencil.linalg import bareiss_rank, mat_vec
 from jpencil.poly import MultiPoly, coefficient_gcd
 from jpencil.varietyprobe import PointSet, stratum_points, zero_locus
 
@@ -150,8 +150,8 @@ def test_criterion_05_tangent_dimension():
         for s in range(4):
             coeff = moved.terms.get((s,), MultiPoly.zero(4))
             vec.extend(coeff.terms.get(m, Fraction(0)) for m in mono3)
-        assert is_zero_vector(mat_vec(euler_rows, vec))
-        assert is_zero_vector(mat_vec(integ_rows, vec))
+        assert not any(mat_vec(euler_rows, vec))
+        assert not any(mat_vec(integ_rows, vec))
 
 
 def test_criterion_06_singular_point():
@@ -264,4 +264,4 @@ def test_criterion_11_orbit_classification():
     assert inv[2].D == 0 and inv[2].Q != 0
     assert inv[3].D == 0
     harmonic = j_invariant(forms[4], normalization="CLASSICAL")
-    assert harmonic.kind == "FINITE" and harmonic.value == 1728
+    assert isinstance(harmonic, Fraction) and harmonic == 1728

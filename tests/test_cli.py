@@ -58,6 +58,33 @@ def test_classify_polynomial_input():
     assert "jClassical: INDETERMINATE\n" in out
 
 
+# One quartic per kind of j-value: finite, INFINITY (D = 0) and
+# INDETERMINATE (Q = C = 0); each value as the --json document holds it.
+_QUARTIC_VALUES = ("divided", "Q", "C", "D", "jRaw", "jClassical", "pattern", "class")
+_QUARTICS = {
+    "0,1,0,-1,0": ("0,1,0,-1,0", "4", "0", "64", "1", "1728", [1, 1, 1, 1], "SIMPLE"),
+    "0,0,1,0,0": ("0,0,1,0,0", "3", "-1", "0", "INFINITY", "INFINITY", [2, 2],
+                  "BITANGENT-NODE"),
+    "t0^3*t1": ("0,1/4,0,0,0", "0", "0", "0", "INDETERMINATE", "INDETERMINATE", [3, 1],
+                "TANGENT"),
+}
+
+
+def test_quartic_reports_are_complete():
+    keys = {"invariants": ("input", "divided", "Q", "C", "D", "jRaw", "jClassical",
+                           "pattern", "class"),
+            "classify": ("input", "pattern", "class", "Q", "C", "D", "jClassical")}
+    for command, report_keys in keys.items():
+        for quartic, values in _QUARTICS.items():
+            value_of = dict(zip(_QUARTIC_VALUES, values), input=quartic)
+            pairs = [("command", command)] + [(k, value_of[k]) for k in report_keys]
+            plain = "".join("%s: %s\n" % (k, "[%s]" % ",".join(map(str, v))
+                                          if isinstance(v, list) else v) for k, v in pairs)
+            assert run_cli([command, quartic]) == (0, plain, ""), (command, quartic)
+            doc = json.dumps(dict(pairs), indent=2) + "\n"
+            assert run_cli(["--json", command, quartic]) == (0, doc, ""), (command, quartic)
+
+
 def test_veronese():
     code, out, _ = run_cli(["veronese", "1,2"])
     assert code == 0
@@ -238,14 +265,16 @@ def test_package_has_no_floats():
         assert flagged == (text in bad), text
 
 
-# Module-level names in src/jpencil that neither the package nor the
-# benchmark uses yet, each with the reason it stays.
+# Functions, classes and methods in src/jpencil that neither the package
+# nor the benchmark uses yet, each with the reason it stays.
 _UNUSED_ALLOWED = {
     # the PGL(2)-equivariance and two-sided tangent-bound certificates on
     # ROADMAP.md turn these into pipeline code
     "transform", "osculating_flag", "lie_derivative", "in_tangent_kernel",
     # criterion 11, the orbit classification, is stated in its terms
     "form_from_divisor",
+    # test_acceptance states X4 as the intersection of TBAR and NBAR
+    "intersection",
 }
 
 
@@ -265,8 +294,9 @@ def _names_used(node):
 
 def test_package_has_no_test_only_code():
     # code only the tests call is not part of the program: each module-level
-    # function or class is used outside its own definition, in the package
-    # or the benchmark, or exported in __all__
+    # function or class, and each method other than a dunder, is used
+    # outside its own definition, in the package or the benchmark, or
+    # exported in __all__
     package = os.path.join(SRC, "jpencil")
     perfbench = os.path.join(os.path.dirname(SRC), "perfbench")
     used, defined, exported = {}, [], set()
@@ -283,6 +313,9 @@ def test_package_has_no_test_only_code():
             for node in tree.body:
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                     defined.append((name, node))
+                    methods = node.body if isinstance(node, ast.ClassDef) else []
+                    defined += [(name, m) for m in methods if isinstance(m, ast.FunctionDef)
+                                and not (m.name.startswith("__") and m.name.endswith("__"))]
                 elif isinstance(node, ast.Assign) and any(
                         getattr(t, "id", None) == "__all__" for t in node.targets):
                     exported.update(ast.literal_eval(node.value))

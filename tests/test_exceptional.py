@@ -169,12 +169,14 @@ def test_tangent_input_guards():
 
 def test_tangent_input_rejects_a_form_over_fp():
     # the system is over Q: residues read as rationals gave a kernel of 0
-    # (mod 7) or 9 (mod 5) instead of an error
+    # (mod 7) or 9 (mod 5) instead of an error, also from the public rows
     ref = reference_form()
     for p in (5, 7):
         reduced = DiffForm(4, 1, {idx: P.reduce_mod(p) for idx, P in ref.terms.items()})
         with pytest.raises(ValueError):
             tangent_system_dim(reduced)
+        with pytest.raises(ValueError):
+            tangent_system_matrices(reduced)
 
 
 def _rational_quadric(rng):

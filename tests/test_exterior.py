@@ -221,6 +221,16 @@ def test_pullback_composition():
     assert once == pullback_form(composed, eta, 5)
 
 
+def test_pullback_new_arity_is_the_column_count():
+    rng = random.Random(4010)
+    eta = _rand_one_form(rng, 3, 2)
+    A = [[Fraction(rng.randint(-2, 2)) for _ in range(4)] for _ in range(3)]
+    assert pullback_form(A, eta, 4) == pullback_form(A, eta)
+    for new_arity in (3, 5):
+        with pytest.raises(ValueError):
+            pullback_form(A, eta, new_arity)
+
+
 def test_pullback_commutes_with_d_and_wedge():
     # the pullback along a linear map is a morphism of differential graded
     # algebras, over Q and over F_7 alike

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jpencil.linalg import bareiss_det, bareiss_rank
+from jpencil.linalg import bareiss_det, bareiss_rank, mat_vec
 
 
 def test_rank_known():
@@ -23,6 +23,14 @@ def test_rank_rejects_ragged_rows():
     for bad in ([[1], [2, 3]], [[1, 2], [3]], [[1, 0, 0], [0, 1]], [[0], [1, 2]]):
         with pytest.raises(ValueError):
             bareiss_rank(bad)
+
+
+def test_mat_vec_rejects_a_length_mismatch():
+    # zip would cut the longer of a row and the vector silently
+    assert mat_vec([[1, 2], [3, 4]], [1, -1]) == [-1, -1]
+    for rows, vec in (([[1, 2]], [1]), ([[1]], [1, 2]), ([[1, 2], [3]], [1, 1])):
+        with pytest.raises(ValueError):
+            mat_vec(rows, vec)
 
 
 def _sympy_rank(rows, n_cols):

@@ -25,6 +25,19 @@ def test_fp_element_small_prime_rejected():
         FpElement(1, 3)
 
 
+def test_a_prime_field_needs_a_prime():
+    # one check admits a modulus, for polynomials and elements alike; over
+    # Z/n for a composite n, normalized() and the gcd have no meaning
+    x = MultiPoly.variable(1, 0)
+    for build in (lambda: MultiPoly(1, {(1,): 1}, 9), lambda: x.reduce_mod(25),
+                  lambda: FpElement(1, 35), lambda: MultiPoly.zero(2, 49),
+                  lambda: MultiPoly.constant(2, 1, 2)):
+        with pytest.raises(poly.BadPrimeError, match="need a prime p >= 5"):
+            build()
+    assert [n for n in range(2, 20) if poly.is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert x.reduce_mod(31).p == 31
+
+
 def test_fp_element_modulus_mismatch():
     x = MultiPoly.variable(2, 0)
     x5 = x.reduce_mod(5)
@@ -295,6 +308,30 @@ def test_reduce_mod_commutes_with_calculus_and_division(A, B, p, entries):
     assume(not A.is_zero and not B.reduce_mod(p).is_zero)
     assert exact_divide(A * B, B) == A
     assert exact_divide((A * B).reduce_mod(p), B.reduce_mod(p)) == A.reduce_mod(p)
+
+
+# arities n -> m -> k with n != m != k, so that neither matrix is square
+_arity_chains = st.tuples(*[st.integers(1, 4)] * 3).filter(lambda d: d[0] != d[1] != d[2])
+
+
+def _matrices(rows, cols):
+    return st.lists(st.lists(_coeffs, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@settings(max_examples=60)
+@given(_arity_chains, st.sampled_from((None, 7)), st.data())
+def test_linear_substitute_composes_as_matrices(arities, p, data):
+    # substituting A, then B, is substituting A*B; each result's arity is
+    # read from its matrix's columns
+    n, m, k = arities
+    terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * n), _coeffs, max_size=4))
+    P = MultiPoly(n, terms) if p is None else MultiPoly(n, terms).reduce_mod(p)
+    A, B = data.draw(_matrices(n, m)), data.draw(_matrices(m, k))
+    AB = [[sum(A[i][l] * B[l][j] for l in range(m)) for j in range(k)] for i in range(n)]
+    Q = P.linear_substitute(A).linear_substitute(B)
+    assert (Q.arity, Q.p) == (k, p)
+    assert Q == P.linear_substitute(AB)
 
 
 @settings(max_examples=40)

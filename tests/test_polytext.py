@@ -1,9 +1,10 @@
 """Text grammar: canonical printing, parsing, round trips."""
 
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jpencil.poly import MultiPoly
 from jpencil.polytext import PolyParseError, parse_poly, poly_to_text, variables_in
@@ -42,17 +43,25 @@ def test_print_canonical_order():
     assert poly_to_text(MultiPoly.zero(3), ("x0", "x1", "x2")) == "0"
 
 
-def test_round_trip_random():
-    rng = random.Random(2001)
-    names = ("x0", "x1", "x2")
-    for _ in range(30):
-        P = MultiPoly.zero(3)
-        for _ in range(rng.randint(1, 5)):
-            exps = tuple(rng.randint(0, 3) for _ in range(3))
-            c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            P = P + MultiPoly.monomial(3, exps, c)
-        text = poly_to_text(P, names)
-        assert parse_poly(text, names) == P
+# every alphabet of the grammar, at a few arities, and the binary pair
+_ALPHABETS = [tuple("%s%d" % (letter, i) for i in range(n))
+              for letter in "xaz" for n in (1, 3, 5)] + [("t0", "t1")]
+_COEFFS = st.one_of(st.integers(-50, 50),
+                    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)))
+
+
+@st.composite
+def _named_polys(draw):
+    names = draw(st.sampled_from(_ALPHABETS))
+    exps = st.tuples(*[st.integers(0, 3)] * len(names))
+    return MultiPoly(len(names), draw(st.dictionaries(exps, _COEFFS, max_size=6))), names
+
+
+@given(_named_polys())
+def test_round_trip_random(named):
+    # parse after print is the identity
+    P, names = named
+    assert parse_poly(poly_to_text(P, names), names) == P
 
 
 def test_parse_errors():
