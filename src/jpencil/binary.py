@@ -58,11 +58,6 @@ class BinaryForm:
         r = self.degree
         return tuple(comb(r, i) * c for i, c in enumerate(self.coeffs))
 
-    def realize(self):
-        """The form as an arity-2 polynomial in t0, t1."""
-        r = self.degree
-        return MultiPoly(2, {(r - i, i): c for i, c in enumerate(self.plain_coefficients())})
-
     def normalized(self):
         """Canonical projective representative: primitive integer vector,
         first nonzero entry positive."""
@@ -192,14 +187,6 @@ def j_invariant(F, normalization="RAW"):
     return 1728 * value if normalization == "CLASSICAL" else value
 
 
-def transform(F, matrix):
-    """Coordinate substitution t_i -> sum_j matrix[i][j] t_j."""
-    det = matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
-    if not det:
-        raise ValueError("substitution matrix is singular")
-    return BinaryForm.from_poly(F.realize().linear_substitute(matrix))
-
-
 # -- discriminant oracle ----------------------------------------------------
 
 def _sylvester_resultant(u, v):
@@ -247,9 +234,7 @@ def cubic_discriminant_plain(a, b, c, d):
 
 # -- osculating flag --------------------------------------------------------
 
-OsculatingFlag = namedtuple(
-    "OsculatingFlag",
-    ["point", "hyperplane", "plane", "line", "line_param", "conic_param", "cubic_param"])
+OsculatingFlag = namedtuple("OsculatingFlag", ["point", "hyperplane", "plane", "line"])
 
 
 def osculating_flag(point):
@@ -257,60 +242,19 @@ def osculating_flag(point):
 
     hyperplane / plane / line are lists of 1, 2, 3 linear functionals in the
     divided coordinates a_0..a_4 cutting out the divisors with multiplicity
-    >= 1, 2, 3 at p.  The three parametrizations send a point q to the plain
-    coordinates (g_0..g_3) of the cubic cofactor of one copy of L_p:
-
-        line_param(q)  : divisor 3p + q, cofactor L_p^2 L_q
-        conic_param(q) : divisor 2p + 2q, cofactor L_p L_q^2
-        cubic_param(q) : divisor p + 3q, cofactor L_q^3
+    >= 1, 2, 3 at p.  F has multiplicity >= k at p iff its k polars of order
+    k-1 vanish at the root r = (d, -c) of L_p = c t0 + d t1; the j-th of
+    them pairs (a_j, ..., a_(j+5-k)) with the plain coefficients of the
+    Veronese form r^(5-k).  Each list runs over j descending.
     """
     c, d = (Fraction(x) for x in point)
     if not c and not d:
         raise ValueError("zero point")
-    one, zero = Fraction(1), Fraction(0)
-    # Complete L_p = c t0 + d t1 to a basis (u, v); express t0, t1 in u, v
-    # and expand a symbolic quartic, working in arity 7: a_0..a_4, then u, v.
-    if c:
-        e, f = zero, one
-    else:
-        e, f = one, zero
-    delta = c * f - d * e
-    identity_part = [[one if i == j else zero for j in range(7)] for i in range(5)]
-    t0_row = [zero] * 5 + [f / delta, -d / delta]
-    t1_row = [zero] * 5 + [-e / delta, c / delta]
-    substitution = identity_part + [t0_row, t1_row]
-    a_vars = [MultiPoly.variable(7, i) for i in range(5)]
-    t0 = MultiPoly.variable(7, 5)
-    t1 = MultiPoly.variable(7, 6)
-    quartic = MultiPoly.zero(7)
-    for i in range(5):
-        quartic = quartic + comb(4, i) * a_vars[i] * t0 ** (4 - i) * t1 ** i
-    expanded = quartic.linear_substitute(substitution)
-    # Coefficient of u^(4-j) v^j, as a linear functional in the a_i.
-    functionals = []
-    for j in range(5):
-        picked = {}
-        for exps, coeff in expanded.terms.items():
-            if exps[5] == 4 - j and exps[6] == j:
-                picked[exps[:5]] = coeff
-        functionals.append(MultiPoly(5, picked).normalized())
-    L_p = linear_form_of_point(point)
+    a = [MultiPoly.variable(5, i) for i in range(5)]
 
-    def cofactor_param(p_mult):
-        base = L_p ** p_mult
+    def polars(k):
+        plain = veronese(5 - k, (d, -c)).plain_coefficients()
+        return [sum((v * a[j + i] for i, v in enumerate(plain)), MultiPoly.zero(5)).normalized()
+                for j in reversed(range(k))]
 
-        def param(q):
-            cubic = base * linear_form_of_point(q) ** (3 - p_mult)
-            return tuple(cubic.terms.get((3 - i, i), zero) for i in range(4))
-
-        return param
-
-    return OsculatingFlag(
-        point=(c, d),
-        hyperplane=[functionals[4]],
-        plane=[functionals[4], functionals[3]],
-        line=[functionals[4], functionals[3], functionals[2]],
-        line_param=cofactor_param(2),
-        conic_param=cofactor_param(1),
-        cubic_param=cofactor_param(0),
-    )
+    return OsculatingFlag((c, d), polars(1), polars(2), polars(3))

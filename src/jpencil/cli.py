@@ -4,8 +4,8 @@ Reports are plain "key: value" lines in a stable order, so runs can be
 diffed byte for byte; --json swaps the same content into one JSON
 document.  Exit codes are stable per failure class: 0 all verdicts
 pass, 2 argument errors, 3 precondition failures (bad primes, unusable
-input), 4 certification failures (a residual or set comparison that
-should have been zero is not).
+input), 4 certification failures.  Every boolean in a report is a
+verdict, so run returns 4 exactly when a reported value is false.
 
 Binary quartics are entered either as five comma-separated divided
 coordinates (a0,a1,a2,a3,a4) or as a polynomial in t0, t1.  Forms
@@ -155,7 +155,7 @@ def _quartic_items(command, text, keys):
         "pattern": list(pattern.multiplicities),
         "class": pattern.orbit_class,
     }
-    return [("command", command)] + [(key, values[key]) for key in keys], 0
+    return [("command", command)] + [(key, values[key]) for key in keys]
 
 
 def _cmd_invariants(args):
@@ -171,13 +171,12 @@ def _cmd_classify(args):
 def _cmd_veronese(args):
     point = _parse_point(args.point)
     F = binary.veronese(args.degree, point)
-    items = [
+    return [
         ("command", "veronese"),
         ("point", args.point),
         ("degree", args.degree),
         ("divided", ",".join(str(c) for c in F.coeffs)),
     ]
-    return items, 0
 
 
 # -- constructors ----------------------------------------------------------
@@ -197,7 +196,7 @@ def _cmd_build_rational(args):
     head = [("command", "build rational"),
             ("F1", polytext.poly_to_text(F1, var_names)),
             ("F2", polytext.poly_to_text(F2, var_names))]
-    return _form_report(head, _certification_items(omega), omega, var_names, args.out), 0
+    return _form_report(head, _certification_items(omega), omega, var_names, args.out)
 
 
 def _cmd_build_log(args):
@@ -210,7 +209,7 @@ def _cmd_build_log(args):
     head = [("command", "build log"),
             ("factors", len(factors)),
             ("weights", ",".join(str(w) for w in weights))]
-    return _form_report(head, _certification_items(omega), omega, var_names, args.out), 0
+    return _form_report(head, _certification_items(omega), omega, var_names, args.out)
 
 
 def _cmd_build_pullback(args):
@@ -222,7 +221,7 @@ def _cmd_build_pullback(args):
             ("form", args.form),
             ("matrixRows", len(matrix)),
             ("matrixCols", len(matrix[0]))]
-    return _form_report(head, _certification_items(omega), omega, new_names, args.out), 0
+    return _form_report(head, _certification_items(omega), omega, new_names, args.out)
 
 
 def _cmd_check(args):
@@ -245,8 +244,7 @@ def _cmd_check(args):
         component = "^".join("d %s" % var_names[i] for i in idx)
         items.append(("firstResidualComponent", component))
         items.append(("firstResidualCoefficient", polytext.poly_to_text(coeff, var_names)))
-    code = 0 if dc.ok and ic.ok else 4
-    return items, code
+    return items
 
 
 # -- exceptional pipeline --------------------------------------------------
@@ -268,7 +266,7 @@ def _cmd_exc_derive(args):
         coeff = report.omega_h.terms.get((i,), MultiPoly.zero(4))
         body.append(("hyperplane %s" % name, polytext.poly_to_text(coeff, _A_NAMES)))
     return _form_report([("command", "exceptional derive")], body,
-                        report.omega_bar, _A_NAMES, args.out), 0
+                        report.omega_bar, _A_NAMES, args.out)
 
 
 def _cmd_exc_paper_form(args):
@@ -279,7 +277,7 @@ def _cmd_exc_paper_form(args):
             ("coefficientDegree", omega.coefficient_degrees()[0]),
             ("saturationFactorDegree", sat.factor.total_degree())]
     return _form_report([("command", "exceptional paper-form")], body,
-                        omega, _X_NAMES, args.out), 0
+                        omega, _X_NAMES, args.out)
 
 
 def _cmd_exc_fields(args):
@@ -300,10 +298,7 @@ def _cmd_exc_fields(args):
         items.append((name, all(c.is_zero for c in contracted.terms.values())))
     items += _certification_items(omega)
     items.append(("saturationFactor", polytext.poly_to_text(sat.factor, _X_NAMES)))
-    items += form_items(omega, _X_NAMES)
-    ok = all(value is True for key, value in items
-             if key.startswith(("bracket", "annihilates")) or key in ("descends", "integrable"))
-    return items, 0 if ok else 4
+    return items + form_items(omega, _X_NAMES)
 
 
 def _cmd_exc_tangent_dim(args):
@@ -314,7 +309,7 @@ def _cmd_exc_tangent_dim(args):
         omega = reference_form()
         label = "reference"
     report = tangent_system_dim(omega)
-    items = [
+    return [
         ("command", "exceptional tangent-dim"),
         ("form", label),
         ("ambientDim", report.ambient_dim),
@@ -322,19 +317,16 @@ def _cmd_exc_tangent_dim(args):
         ("projectiveDim", report.projective_dim),
         ("containsOmegaBar", report.contains_omega_bar),
     ]
-    return items, 0 if report.contains_omega_bar else 4
 
 
 def _cmd_exc_double_tangency(args):
     report = check_double_tangency()
-    items = [
+    return [
         ("command", "exceptional double-tangency"),
         ("constant", report.constant),
         ("identityOk", report.identity_ok),
         ("multiplicityExactlyTwo", report.multiplicity_exactly_two),
     ]
-    ok = report.identity_ok and report.multiplicity_exactly_two
-    return items, 0 if ok else 4
 
 
 # -- finite-field probes ---------------------------------------------------
@@ -385,7 +377,7 @@ def _probe_one(polys, names, strata, p):
         items += [("expectedCount", 1), ("equal", equal)] + vanishing
         if not equal:
             items += _witness_items("witness", locus)
-        return items, equal
+        return items
     point_sets = [stratum_points(name, p) for name in strata]
     union = point_sets[0]
     for other in point_sets[1:]:
@@ -395,7 +387,7 @@ def _probe_one(polys, names, strata, p):
     if not report.equal:
         items += _witness_items("onlyLocus", report.only_a)
         items += _witness_items("onlyStratum", report.only_b)
-    return items, report.equal
+    return items
 
 
 def _cmd_probe(args):
@@ -403,12 +395,9 @@ def _cmd_probe(args):
     build, names, strata = _PROBES[args.target]
     polys = build()
     items = [("command", "probe"), ("target", args.target)]
-    all_ok = True
     for p in primes:
-        block, ok = _probe_one(polys, names, strata, p)
-        items += block
-        all_ok = all_ok and ok
-    return items, 0 if all_ok else 4
+        items += _probe_one(polys, names, strata, p)
+    return items
 
 
 # -- argument grammar and dispatch -----------------------------------------
@@ -494,13 +483,13 @@ def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        items, code = args.handler(args)
+        items = args.handler(args)
     except (BadPrimeError, PipelineError, WeightError, polytext.PolyParseError,
             ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     _emit(items, args.json)
-    return code
+    return 4 if any(value is False for _, value in items) else 0
 
 
 def main():

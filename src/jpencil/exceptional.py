@@ -18,7 +18,7 @@ from .exterior import (DiffForm, PolyVectorField, descends_check,
                        euler_field, exterior_derivative, integrability_check,
                        interior_product, normalize_form, saturate, volume_form,
                        wedge, pullback_form)
-from .binary import cubic_discriminant_plain, invariant_polys
+from .binary import cubic_discriminant_plain, invariant_polys, osculating_flag
 from .components import build_rational
 
 
@@ -68,15 +68,17 @@ ExceptionalReport = namedtuple(
 def derive_omega_bar():
     """Run the whole pipeline with certificates at every stage.
 
-    factor is the normalized divisorial part (the linear form a3 cutting the
-    plane of divisors with a double point at the flag point); factor_exact
-    is the exact cofactor with factor_exact * omega_bar == omega_h.
+    factor is the normalized divisorial part, certified to be the trace on
+    the hyperplane of the osculating plane at [1:0] (the linear form a3:
+    the divisors with a double point at the flag point); factor_exact is
+    the exact cofactor with factor_exact * omega_bar == omega_h.
     """
     omega4 = build_omega4()
     if not descends_check(omega4).ok or not integrability_check(omega4).ok:
         raise PipelineError("build", "pencil form failed a residue check")
 
-    omega_h = restrict_to_hyperplane(omega4, osculating_inclusion())
+    inclusion = osculating_inclusion()
+    omega_h = restrict_to_hyperplane(omega4, inclusion)
     if omega_h.is_zero:
         raise PipelineError("restrict", "restriction vanished identically")
     if not integrability_check(omega_h).ok:
@@ -84,8 +86,13 @@ def derive_omega_bar():
 
     sat = saturate(omega_h)
     factor = sat.factor.normalized()
-    if factor != MultiPoly.variable(4, 3):
-        raise PipelineError("saturate", "divisorial factor is not the flag plane: %r" % factor)
+    # the trace of the osculating plane at [1:0]; its functional a4 pulls
+    # back to zero exactly when the inclusion lies in the hyperplane
+    pulled = (g.linear_substitute(inclusion) for g in osculating_flag((1, 0)).plane)
+    trace = [g.normalized() for g in pulled if not g.is_zero]
+    if [factor] != trace:
+        raise PipelineError("saturate", "divisorial factor %r is not the trace %r of the "
+                            "osculating plane" % (factor, trace))
     omega_bar = sat.form
     degrees = omega_bar.coefficient_degrees()
     if degrees != [3] or not omega_bar.has_homogeneous_coefficients():

@@ -80,8 +80,9 @@ def to_fp(c, p):
     element of F_p itself.
 
     A denominator divisible by p and an element of another prime field
-    are both ValueErrors.
+    are both ValueErrors, and p not a prime a BadPrimeError.
     """
+    check_prime(p)
     if isinstance(c, int):
         return c % p
     if isinstance(c, Fraction):
@@ -105,6 +106,7 @@ def primitive_scale(coeffs, pivot, p=None):
     is the entry to make 1 (F_p), and over Q only its sign is read.
     """
     if p is not None:
+        check_prime(p)
         return pow(pivot, -1, p)
     # For fractions in lowest terms the content is gcd(numerators) over
     # lcm(denominators).

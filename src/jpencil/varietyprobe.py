@@ -52,6 +52,7 @@ STRATUM_DIM = {
 
 def normalize_point(pt, p):
     """Scale so the first nonzero coordinate is 1."""
+    check_prime(p)
     vec = [x % p for x in pt]
     for x in vec:
         if x:
@@ -134,16 +135,24 @@ def _reduce_poly(poly, p):
             for exps, c in sorted(reduced.terms.items())]
 
 
+def _projective_points(n, p):
+    """The points of P^n(F_p), each with first nonzero coordinate 1, one
+    slice per leading coordinate."""
+    for lead in range(n + 1):
+        prefix = (0,) * lead + (1,)
+        for tail in itertools.product(range(p), repeat=n - lead):
+            yield prefix + tail
+
+
 def zero_locus(polys, n, p):
     """Common zeros of the polynomials in P^n(F_p).
 
     Polynomials must have arity n+1; rational coefficients are reduced
     mod p (a denominator divisible by p is a BadPrimeError).  A
     polynomial that vanishes identically mod p imposes no condition and
-    is dropped.  The points are walked in one process, one slice per
-    leading coordinate, with every product of a coefficient and table
-    powers reduced mod p; a point is dropped at the first polynomial
-    that does not vanish there.
+    is dropped.  The points are walked in one process, with every
+    product of a coefficient and table powers reduced mod p; a point is
+    dropped at the first polynomial that does not vanish there.
     """
     check_prime(p)
     polys = list(polys)
@@ -160,21 +169,18 @@ def zero_locus(polys, n, p):
     powtab = [[pow(x, e, p) for e in range(maxdeg + 1)] for x in range(p)]
 
     hits = []
-    for lead in range(n + 1):
-        prefix = (0,) * lead + (1,)
-        for tail in itertools.product(range(p), repeat=n - lead):
-            pt = prefix + tail
-            for terms in reduced:
-                tot = 0
-                for c, pairs in terms:
-                    v = c
-                    for i, e in pairs:
-                        v = v * powtab[pt[i]][e] % p
-                    tot += v
-                if tot % p:
-                    break
-            else:
-                hits.append(pt)
+    for pt in _projective_points(n, p):
+        for terms in reduced:
+            tot = 0
+            for c, pairs in terms:
+                v = c
+                for i, e in pairs:
+                    v = v * powtab[pt[i]][e] % p
+                tot += v
+            if tot % p:
+                break
+        else:
+            hits.append(pt)
     return PointSet(p, n, hits)
 
 
@@ -193,7 +199,7 @@ def _convolve(u, v, p):
 def _family(p, base, k):
     """The k-th powers of the lines ("L"), of the plane quadratics ("g"),
     or of t0 alone ("t0")."""
-    forms = [(1, 0)] if base == "t0" else zero_locus([], 1 if base == "L" else 2, p)
+    forms = [(1, 0)] if base == "t0" else _projective_points(1 if base == "L" else 2, p)
     powers = []
     for f in forms:
         power = [1]
@@ -220,7 +226,7 @@ def _chords(p):
     The chord through the conjugate roots is the line of sequences with
     a_(k+2) = -b a_(k+1) - c a_k, one for each seed (a0 : a1).
     """
-    lines = list(zero_locus([], 1, p))
+    lines = list(_projective_points(1, p))
     x4 = _products(p, _family(p, "L", 4))
     pts = [tuple((u * a + v * b) % p for a, b in zip(A, B))
            for A, B in itertools.combinations(x4, 2) for u, v in lines]

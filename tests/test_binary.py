@@ -18,9 +18,9 @@ from jpencil.binary import (
     linear_form_of_point,
     osculating_flag,
     root_pattern,
-    transform,
     veronese,
 )
+from jpencil.linalg import bareiss_rank
 from jpencil.poly import FpElement, MultiPoly
 from jpencil.polytext import parse_poly
 
@@ -50,10 +50,9 @@ def test_divided_plain_round_trip():
                                       Fraction(-4), Fraction(3))
 
 
-def test_realize_and_from_poly():
+def test_from_poly():
     F = BinaryForm([Fraction(0), Fraction(1), Fraction(0), Fraction(-1), Fraction(0)])
-    P = F.realize()
-    assert P == parse_poly("4*t0^3*t1 - 4*t0*t1^3", ("t0", "t1"))
+    P = parse_poly("4*t0^3*t1 - 4*t0*t1^3", ("t0", "t1"))
     assert BinaryForm.from_poly(P) == F
 
 
@@ -107,7 +106,9 @@ def test_invariant_weights_under_transform():
             if det:
                 break
         F = BinaryForm([Fraction(rng.randint(-4, 4)) for _ in range(5)])
-        G = transform(F, m)
+        # the substitution t_i -> sum_j m[i][j] t_j
+        P = MultiPoly(2, {(4 - i, i): c for i, c in enumerate(F.plain_coefficients())})
+        G = BinaryForm.from_poly(P.linear_substitute(m))
         inv_f = invariants_qcd(F)
         inv_g = invariants_qcd(G)
         assert inv_g.Q == det ** 4 * inv_f.Q
@@ -192,30 +193,33 @@ def test_osculating_flag_at_chart_point():
     assert flag.hyperplane == [a[4]]
     assert flag.plane == [a[4], a[3]]
     assert flag.line == [a[4], a[3], a[2]]
-    # cofactor parametrizations in the plain cubic basis
-    assert flag.line_param((Fraction(0), Fraction(1))) == (0, 1, 0, 0)
-    assert flag.conic_param((Fraction(2), Fraction(3))) == (4, 12, 9, 0)
-    assert flag.cubic_param((Fraction(1), Fraction(2))) == (1, 6, 12, 8)
+
+
+def _functional_rank(functionals):
+    return bareiss_rank([[func.evaluate([int(i == j) for j in range(5)]) for i in range(5)]
+                         for func in functionals])
 
 
 def test_osculating_flag_functionals_vanish_on_divisors():
     rng = random.Random(5003)
-    for _ in range(5):
-        p = (Fraction(rng.randint(-3, 3)), Fraction(1))
-        q = (Fraction(1), Fraction(rng.randint(-3, 3)))
-        r = (Fraction(1), Fraction(rng.randint(2, 5)))
+    points = [(1, 0), (0, 1), (2, 3), (-1, 2), (Fraction(1, 3), Fraction(-5, 2))]
+    points += [(rng.randint(-3, 3), 1) for _ in range(5)]
+    others = [(1, 1), (1, -2), (3, 1), (1, 4), (0, 1), (1, 0)]
+    for p in points:
         flag = osculating_flag(p)
+        # two points distinct from p in P^1
+        q, r = [o for o in others if p[0] * o[1] != p[1] * o[0]][:2]
         once = form_from_divisor([(p, 1), (q, 2), (r, 1)])
         twice = form_from_divisor([(p, 2), (q, 1), (r, 1)])
         thrice = form_from_divisor([(p, 3), (q, 1)])
-        for func in flag.hyperplane:
-            assert func.evaluate(once.coeffs) == 0
-        for func in flag.plane:
-            assert func.evaluate(twice.coeffs) == 0
-        for func in flag.line:
-            assert func.evaluate(thrice.coeffs) == 0
-        # multiplicity actually 1 does not satisfy the plane conditions
-        assert any(func.evaluate(once.coeffs) != 0 for func in flag.plane)
+        for k, (functionals, vanishing, short) in enumerate(
+                [(flag.hyperplane, once, None), (flag.plane, twice, once),
+                 (flag.line, thrice, twice)], start=1):
+            assert _functional_rank(functionals) == k, (p, k)
+            assert all(func.evaluate(vanishing.coeffs) == 0 for func in functionals), (p, k)
+            # multiplicity exactly k - 1 does not satisfy the k-th conditions
+            if short is not None:
+                assert any(func.evaluate(short.coeffs) != 0 for func in functionals), (p, k)
 
 
 def test_degree_guard():

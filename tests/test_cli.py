@@ -268,9 +268,9 @@ def test_package_has_no_floats():
 # Functions, classes and methods in src/jpencil that neither the package
 # nor the benchmark uses yet, each with the reason it stays.
 _UNUSED_ALLOWED = {
-    # the PGL(2)-equivariance and two-sided tangent-bound certificates on
-    # ROADMAP.md turn these into pipeline code
-    "transform", "osculating_flag", "lie_derivative", "in_tangent_kernel",
+    # the two-sided tangent-bound certificate on ROADMAP.md turns these
+    # into pipeline code
+    "lie_derivative", "in_tangent_kernel",
     # criterion 11, the orbit classification, is stated in its terms
     "form_from_divisor",
     # test_acceptance states X4 as the intersection of TBAR and NBAR
@@ -375,6 +375,41 @@ def test_check_failures_exit_4():
         assert "integrable: false\n" in out
         assert "firstResidualComponent: d x0^d x1^d x2\n" in out
         assert "firstResidualCoefficient: -2*x3\n" in out
+
+
+def test_exit_code_of_every_subcommand():
+    # 0 when every reported verdict holds, 4 when one is false, 3 when the
+    # input is unusable
+    with tempfile.TemporaryDirectory() as tmp:
+        good = os.path.join(tmp, "good.form")
+        bad = os.path.join(tmp, "bad.form")
+        with open(bad, "w", encoding="ascii") as fh:
+            fh.write("vars: x0 x1 x2\ncoeff x0: x1\ncoeff x1: x0\ncoeff x2: 0\n")
+        table = [
+            (["invariants", "0,1,0,-1,0"], 0),
+            (["classify", "t0^3*t1"], 0),
+            (["veronese", "1,2"], 0),
+            (["build", "rational", "x0^2*x1 - x2^3", "x0*x1*x2", "--out", good], 0),
+            (["build", "log", "--factor", "x0", "--factor", "x1", "--factor", "x2",
+              "--weight", "1", "--weight", "1", "--weight", "-2"], 0),
+            (["build", "pullback", "--form", good, "--matrix", "1,0,0,1;0,1,0,-1;0,0,1,2"], 0),
+            (["check", "--form", good], 0),
+            (["check", "--form", bad], 4),
+            (["exceptional", "derive"], 0),
+            (["exceptional", "paper-form"], 0),
+            (["exceptional", "fields"], 0),
+            (["exceptional", "tangent-dim"], 0),
+            (["exceptional", "double-tangency"], 0),
+            (["probe", "--target", "sing-omega4"], 0),
+            (["probe", "--target", "sing-omega-bar"], 0),
+            (["probe", "--target", "base-locus"], 0),
+            (["probe", "--target", "delta-sing"], 0),
+            # p = 5 is a bad reduction of d(omega bar)
+            (["probe", "--target", "sing-d-omega-bar"], 4),
+            (["probe", "--target", "sing-d-omega-bar", "--prime", "9"], 3),
+        ]
+        for argv, code in table:
+            assert run_cli(argv)[0] == code, argv
 
 
 def test_precondition_errors_exit_3():

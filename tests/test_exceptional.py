@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from jpencil import exceptional
 from jpencil.components import build_rational
 from jpencil.exceptional import (
     PipelineError,
@@ -74,6 +75,20 @@ def test_restrict_guards():
     collapsed = [row[:1] * 4 for row in osculating_inclusion()]
     with pytest.raises(ValueError):
         restrict_to_hyperplane(omega4, collapsed)
+
+
+def test_factor_is_the_trace_of_the_osculating_plane(monkeypatch):
+    # a0 = 0 is the osculating hyperplane at [0:1], not at the flag point
+    # [1:0]: the plane's functionals a4, a3 both survive the pullback
+    def at_zero_one():
+        return [[Fraction(0)] * 4] + [[Fraction(int(i == j)) for j in range(4)]
+                                      for i in range(4)]
+
+    monkeypatch.setattr(exceptional, "osculating_inclusion", at_zero_one)
+    with pytest.raises(PipelineError) as info:
+        derive_omega_bar()
+    assert info.value.stage == "saturate"
+    assert "osculating plane" in str(info.value)
 
 
 def test_reference_form_frozen():

@@ -237,6 +237,16 @@ def test_reduce_mod_rejects_bad_denominators_and_moduli():
         x0.reduce_mod(5) * Fraction(1, 5)
 
 
+def test_reductions_need_a_prime():
+    # mod 9 the inverse of 2 is 5, but Z/9 is no field: the reduction and
+    # the F_p scale admit their modulus as every polynomial does
+    for call in (lambda: to_fp(Fraction(1, 2), 9), lambda: to_fp(4, 9),
+                 lambda: poly.primitive_scale([3], 2, 9)):
+        with pytest.raises(poly.BadPrimeError, match="need a prime p >= 5"):
+            call()
+    assert poly.primitive_scale([3], 2, 7) == 4
+
+
 def test_exact_divide_and_failure():
     x0 = MultiPoly.variable(2, 0)
     x1 = MultiPoly.variable(2, 1)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from jpencil import varietyprobe
 from jpencil.binary import invariant_polys
 from jpencil.exceptional import build_omega4, derive_omega_bar
 from jpencil.poly import FpElement, MultiPoly
@@ -44,6 +45,28 @@ def test_normalize_point():
     assert normalize_point((10, 1), 5) == (0, 1)
     with pytest.raises(ValueError):
         normalize_point((0, 5, 10), 5)
+
+
+def test_normalize_point_needs_a_prime():
+    # mod 9, (2, 4) would scale to (1, 2) and (3, 6) has no invertible base
+    for pt in ((2, 4), (3, 6)):
+        with pytest.raises(BadPrimeError, match="need a prime p >= 5"):
+            normalize_point(pt, 9)
+
+
+def test_strata_do_not_enumerate_loci(monkeypatch):
+    # a stratum's parameters walk P^1 or P^2 directly, so zero_locus runs
+    # only for the loci themselves
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return zero_locus(*args)
+
+    monkeypatch.setattr(varietyprobe, "zero_locus", counting)
+    for stratum in varietyprobe.STRATA:
+        assert len(stratum_points(stratum, 5)) > 0
+    assert calls == []
 
 
 def test_projective_point_counts():
