@@ -25,21 +25,26 @@ def _integer_rows(rows):
 
 
 def _bareiss(m):
-    """Fraction-free elimination of the integer rows m, in place; all
-    intermediate entries stay integral (they are minors of the input),
-    divisions are exact.  Returns the rank, the sign of the row swaps and
+    """Fraction-free elimination of the integer rows m, which it overwrites,
+    rescaling rows lazily.  Returns the rank, the sign of the row swaps and
     the last pivot, which for a square m of full rank is its determinant
     up to that sign.
 
-    Each step rewrites every row below the pivot from the pivot column
-    on, in one list comprehension; left of it both rows hold zeros.  A row
-    with factor 0 is only scaled by pivot / prev, which is the identity
-    when the two are equal."""
+    P[k] is the divisor of step k: P[0] = 1, P[k + 1] the pivot of step k.
+    A row's stamp s, which moves with it, is 1 + the step that last rewrote
+    it (0 if none): it holds Bareiss's entries before step s, and before
+    step k Bareiss's are those times P[k] / P[s], the telescoping product
+    of the rescales that a row with factor 0 skips.  So such a row is not
+    touched, one with a nonzero factor becomes (pivot*a - factor*b) // P[s],
+    stamped k + 1, and the pivot row is first brought up to date by
+    a * P[k] // P[s].  Both are Bareiss's own entries, minors of m, so each
+    division is exact."""
     n_rows = len(m)
     n_cols = len(m[0])
     rank = 0
     sign = 1
-    prev = 1
+    P = [1]
+    stamp = [0] * n_rows
     for col in range(n_cols):
         pivot_row = None
         for r in range(rank, n_rows):
@@ -50,21 +55,25 @@ def _bareiss(m):
             continue
         if pivot_row != rank:
             m[rank], m[pivot_row] = m[pivot_row], m[rank]
+            stamp[rank], stamp[pivot_row] = stamp[pivot_row], stamp[rank]
             sign = -sign
-        pivot = m[rank][col]
         top = m[rank][col:]
+        if stamp[rank] != rank:
+            scale, old = P[rank], P[stamp[rank]]
+            top = [a * scale // old for a in top]
+        pivot = top[0]
         for r in range(rank + 1, n_rows):
             row = m[r]
             factor = row[col]
             if factor:
-                row[col:] = [(pivot * a - factor * b) // prev for a, b in zip(row[col:], top)]
-            elif pivot != prev:
-                row[col:] = [pivot * a // prev for a in row[col:]]
-        prev = pivot
+                old = P[stamp[r]]
+                row[col:] = [(pivot * a - factor * b) // old for a, b in zip(row[col:], top)]
+                stamp[r] = rank + 1
+        P.append(pivot)
         rank += 1
         if rank == n_rows:
             break
-    return rank, sign, prev
+    return rank, sign, P[-1]
 
 
 def bareiss_rank(rows):

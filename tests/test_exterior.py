@@ -1,9 +1,12 @@
 """Exterior calculus: wedge, derivative, contraction, Lie theory, saturation."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jpencil.exterior import (
     DiffForm,
@@ -55,6 +58,29 @@ def _rand_field(rng, arity, maxdeg):
     return PolyVectorField([_rand_poly(rng, arity, maxdeg) for _ in range(arity)])
 
 
+# -- laws over Q and F_7, as hypothesis properties ---------------------------
+
+def _polys(p, maxdeg):
+    """Polynomials in three variables of total degree <= maxdeg with at most
+    three terms, over Q (p None) or reduced mod p."""
+    monomials = [e for e in itertools.product(range(maxdeg + 1), repeat=3) if sum(e) <= maxdeg]
+    terms = st.dictionaries(st.sampled_from(monomials), st.integers(-3, 3).map(Fraction), max_size=3)
+    return terms.map(lambda t: MultiPoly(3, t) if p is None else MultiPoly(3, t).reduce_mod(p))
+
+
+def _one_forms(p):
+    return st.lists(_polys(p, 2), min_size=3, max_size=3).map(DiffForm.one_form)
+
+
+def _fields(p):
+    return st.lists(_polys(p, 1), min_size=3, max_size=3).map(PolyVectorField)
+
+
+def _over_q_and_f7(*parts):
+    """Tuples of one draw from each part(p), all over Q or all over F_7."""
+    return st.one_of(*[st.tuples(*[part(p) for part in parts]) for p in (None, 7)])
+
+
 def test_wedge_graded_commutativity():
     rng = random.Random(4001)
     for scalar in (Fraction, _f7):
@@ -102,14 +128,13 @@ def test_d_squared_zero():
         _assert_no_zero_terms(df)
 
 
-def test_d_leibniz_on_wedge():
-    rng = random.Random(4004)
-    for _ in range(5):
-        a = _rand_one_form(rng, 3, 2)
-        b = _rand_one_form(rng, 3, 2)
-        lhs = exterior_derivative(wedge(a, b))
-        rhs = wedge(exterior_derivative(a), b) - wedge(a, exterior_derivative(b))
-        assert lhs == rhs
+@settings(max_examples=40)
+@given(_over_q_and_f7(_one_forms, _one_forms))
+def test_d_leibniz_on_wedge(forms):
+    a, b = forms
+    lhs = exterior_derivative(wedge(a, b))
+    rhs = wedge(exterior_derivative(a), b) - wedge(a, exterior_derivative(b))
+    assert lhs == rhs
 
 
 def test_top_degree_derivative_is_zero():
@@ -135,26 +160,32 @@ def test_interior_product_antiderivation():
         assert interior_product(V, interior_product(V, wedge(a, b))).is_zero
 
 
-def test_cartan_formula():
-    rng = random.Random(4007)
-    for _ in range(5):
-        V = _rand_field(rng, 3, 1)
-        a = _rand_one_form(rng, 3, 2)
-        lhs = lie_derivative(V, a)
-        rhs = interior_product(V, exterior_derivative(a)) + exterior_derivative(
-            interior_product(V, a))
-        assert lhs == rhs
+@settings(max_examples=40)
+@given(_over_q_and_f7(_fields, _one_forms))
+def test_cartan_formula(drawn):
+    V, a = drawn
+    lhs = lie_derivative(V, a)
+    rhs = interior_product(V, exterior_derivative(a)) + exterior_derivative(
+        interior_product(V, a))
+    assert lhs == rhs
 
 
-def test_lie_bracket_against_derivatives():
-    rng = random.Random(4008)
-    for _ in range(5):
-        V = _rand_field(rng, 3, 1)
-        W = _rand_field(rng, 3, 1)
-        f = _rand_poly(rng, 3, 2)
-        lhs = lie_bracket(V, W).apply_to(f)
-        rhs = V.apply_to(W.apply_to(f)) - W.apply_to(V.apply_to(f))
-        assert lhs == rhs
+@settings(max_examples=40)
+@given(_over_q_and_f7(_fields, _fields, lambda p: _polys(p, 2)))
+def test_lie_bracket_against_derivatives(drawn):
+    V, W, f = drawn
+    lhs = lie_bracket(V, W).apply_to(f)
+    rhs = V.apply_to(W.apply_to(f)) - W.apply_to(V.apply_to(f))
+    assert lhs == rhs
+
+
+@settings(max_examples=40)
+@given(_over_q_and_f7(_fields, _fields, _one_forms))
+def test_lie_derivative_of_a_bracket_on_one_forms(drawn):
+    # [L_V, L_W] = L_[V,W], with [V, W] = VW - WV as above
+    V, W, a = drawn
+    lhs = lie_derivative(V, lie_derivative(W, a)) - lie_derivative(W, lie_derivative(V, a))
+    assert lhs == lie_derivative(lie_bracket(V, W), a)
 
 
 def test_euler_contraction_counts_degree():

@@ -81,8 +81,11 @@ def test_det_known():
 
 
 def _sympy_det(rows):
-    from sympy import Matrix, Rational
-    return Matrix([[Rational(c.numerator, c.denominator) for c in row] for row in rows]).det()
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+    entries = [[QQ(c.numerator, c.denominator) for c in row] for row in rows]
+    det = DomainMatrix(entries, (len(rows), len(rows)), QQ).det()
+    return Fraction(int(det.numerator), int(det.denominator))
 
 
 def test_det_matches_sympy_oracle():
@@ -118,22 +121,28 @@ def test_det_multiplicative_random():
 
 
 # Sparse entries, ints and Fractions: zeros give rows that are zero in a
-# pivot column (the update only rescales them), and the many ones give
-# repeated equal pivots (the rescale is the identity and is skipped).
+# pivot column, which the elimination leaves stale until a later step uses
+# them, and the many ones give unit pivots, for which a stale row already
+# equals Bareiss's.
 _entries = st.one_of(st.sampled_from((0, 0, 0, 1, 1)), st.integers(-4, 4),
                      st.fractions(-4, 4, max_denominator=5))
+# Sparse entries with no unit among them: the pivots are not units, so a
+# stale row stamped s differs from Bareiss's by the factor P[k] / P[s], and
+# a stamp left behind in a row swap, a wrong divisor or a pivot row that is
+# not brought up to date gives a wrong rank or determinant.
+_non_unit_entries = st.sampled_from((0, 0, 0, 2, -3, 5))
 
 
 @st.composite
-def _matrices(draw, square):
+def _matrices(draw, square, entries=_entries):
     n_rows = draw(st.integers(1, 8))
     n_cols = n_rows if square else draw(st.integers(1, 8))
-    flat = draw(st.lists(_entries, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    flat = draw(st.lists(entries, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
     rows = [flat[i * n_cols:(i + 1) * n_cols] for i in range(n_rows)]
     if n_rows > 2 and draw(st.booleans()):
         # one row a combination of two others
         t, i, j = draw(st.permutations(range(n_rows)))[:3]
-        k = draw(_entries)
+        k = draw(entries)
         rows[t] = [k * a + b for a, b in zip(rows[i], rows[j])]
     return rows
 
@@ -146,3 +155,18 @@ def test_rank_law_matches_sympy(rows):
 @given(_matrices(square=True))
 def test_det_law_matches_sympy(rows):
     assert bareiss_det(rows) == _sympy_det(rows)
+
+
+@given(_matrices(square=False, entries=_non_unit_entries))
+def test_rank_law_with_non_unit_pivots(rows):
+    assert bareiss_rank(rows) == _sympy_rank(rows, len(rows[0]))
+
+
+@given(_matrices(square=True, entries=_non_unit_entries))
+def test_det_law_with_non_unit_pivots(rows):
+    # every cyclic rotation of the rows, each with its own row swaps and
+    # stale rows; a rotation by k is k(n - 1) transpositions
+    det = _sympy_det(rows)
+    n = len(rows)
+    for k in range(n):
+        assert bareiss_det(rows[k:] + rows[:k]) == (-1) ** (k * (n - 1)) * det

@@ -359,6 +359,29 @@ def test_gcd_divides_and_cofactors_are_coprime(G, A, B, p):
     assert poly_gcd(*cofactors) == MultiPoly.constant(3, Fraction(1), p)
 
 
+def _sympy_poly(P):
+    """P as an element of sympy's sparse ring over QQ or GF(p)."""
+    from sympy import GF, QQ
+    from sympy.polys.rings import ring
+    domain = QQ if P.p is None else GF(P.p)
+    R = ring(["x%d" % i for i in range(P.arity)], domain)[0]
+    if P.p is None:
+        return R.from_dict({e: QQ(c.numerator, c.denominator) for e, c in P.terms.items()})
+    return R.from_dict({e: domain(c) for e, c in P.terms.items()})
+
+
+@settings(max_examples=40)
+@given(_small_polys, _small_polys, _small_polys, st.sampled_from((None, 7)))
+def test_gcd_matches_sympy_up_to_a_scalar(G, A, B, p):
+    # over Q and F_7, with a planted common factor G
+    if p is not None:
+        G, A, B = G.reduce_mod(p), A.reduce_mod(p), B.reduce_mod(p)
+    assume(not G.is_zero and not (A.is_zero and B.is_zero))
+    A, B = G * A, G * B
+    expected = _sympy_poly(A).gcd(_sympy_poly(B))
+    assert _sympy_poly(poly_gcd(A, B)).monic() == expected.monic()
+
+
 # -- the line certificate of a unit coefficient gcd --------------------------
 
 def _gcd_chain(polys):
