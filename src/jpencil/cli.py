@@ -391,7 +391,7 @@ def _probe_one(polys, names, strata, p):
 
 
 def _cmd_probe(args):
-    primes = [args.prime] if args.prime else list(DEFAULT_PRIMES)
+    primes = list(DEFAULT_PRIMES) if args.prime is None else [args.prime]
     build, names, strata = _PROBES[args.target]
     polys = build()
     items = [("command", "probe"), ("target", args.target)]

@@ -11,7 +11,6 @@ of dlog terms with total weight sum(d_i lambda_i) = 0; the pullback family
 from composing a 1-form on three variables with a surjective linear map.
 """
 
-from fractions import Fraction
 from math import gcd
 
 from .exterior import (DiffForm, descends_check, differential,
@@ -70,7 +69,7 @@ def build_logarithmic(factors, weights):
     same content as the rational constructor and are delegated to it.
     """
     factors = list(factors)
-    weights = [Fraction(w) if isinstance(w, int) else w for w in weights]
+    weights = list(weights)
     if len(factors) != len(weights):
         raise ValueError("got %d factors and %d weights" % (len(factors), len(weights)))
     if len(factors) < 2:

@@ -45,8 +45,8 @@ def build_omega4():
 def osculating_inclusion():
     """Linear inclusion of the osculating hyperplane (a4 = 0): one row per
     ambient coordinate, one column per hyperplane coordinate."""
-    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(4)] for i in range(4)]
-    rows.append([Fraction(0)] * 4)
+    rows = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    rows.append([0] * 4)
     return rows
 
 
@@ -178,16 +178,6 @@ TangentReport = namedtuple(
     ["ambient_dim", "raw_kernel_dim", "projective_dim", "contains_omega_bar"])
 
 
-def _primitive_integer_form(omega):
-    """The multiple of a 1-form over Q whose coefficients are coprime ints
-    (normalize_form, whose Fractions all have denominator 1); every nonzero
-    multiple of omega gives the same form."""
-    form, _ = normalize_form(omega)
-    return DiffForm(form.arity, 1, {
-        idx: MultiPoly(form.arity, {e: c.numerator for e, c in P.terms.items()})
-        for idx, P in form.terms.items()})
-
-
 def tangent_system_matrices(omega_bar):
     """Euler and linearized-integrability rows on the 80 unknowns, as dense
     rows of Python ints.
@@ -204,7 +194,7 @@ def tangent_system_matrices(omega_bar):
     """
     if any(P.p is not None for P in omega_bar.terms.values()):
         raise ValueError("the tangent system is over Q; the form has coefficients mod a prime")
-    omega = _primitive_integer_form(omega_bar)
+    omega = normalize_form(omega_bar)[0]
     mono3 = _monomials(4, 3)
     mono4 = _monomials(4, 4)
     mono5 = _monomials(4, 5)
@@ -260,7 +250,7 @@ def tangent_system_dim(omega_bar):
     euler_rows, integ_rows, mono3 = tangent_system_matrices(omega_bar)
     ambient_dim = 80 - bareiss_rank(euler_rows)
     raw_kernel_dim = 80 - bareiss_rank(euler_rows + integ_rows)
-    vec = _coefficient_vector(_primitive_integer_form(omega_bar), mono3)
+    vec = _coefficient_vector(normalize_form(omega_bar)[0], mono3)
     contains = not any(mat_vec(euler_rows, vec)) and not any(mat_vec(integ_rows, vec))
     return TangentReport(ambient_dim, raw_kernel_dim, raw_kernel_dim - 1, contains)
 

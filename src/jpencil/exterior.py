@@ -157,7 +157,7 @@ def euler_field(arity):
 
 def volume_form(arity):
     """dz_0 ^ ... ^ dz_{n} with unit coefficient."""
-    return DiffForm(arity, arity, {tuple(range(arity)): MultiPoly.constant(arity, Fraction(1))})
+    return DiffForm(arity, arity, {tuple(range(arity)): MultiPoly.constant(arity, 1)})
 
 
 def _merge_indices(left, right):

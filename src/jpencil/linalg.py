@@ -5,21 +5,19 @@ for ranks and for determinants of square matrices.
 """
 
 from fractions import Fraction
-
-from .poly import primitive_scale
+from math import lcm
 
 
 def _integer_rows(rows):
-    """The nonzero rows, each scaled to coprime integers, and the product of
-    the scales; rank is unchanged and a determinant is multiplied by it."""
+    """The nonzero rows, each times the lcm of its denominators, as fresh
+    lists of ints, and the product of those lcms; rank is unchanged and a
+    determinant is multiplied by it."""
     out = []
     product = 1
     for row in rows:
         if any(row):
-            scale = primitive_scale(row, 1)
-            # lcm of the denominators over gcd of the numerators, coprime
-            lcm, g = scale.numerator, scale.denominator
-            out.append([c.numerator * (lcm // c.denominator) // g for c in row])
+            scale = lcm(*[c.denominator for c in row])
+            out.append([c.numerator * (scale // c.denominator) for c in row])
             product *= scale
     return out, product
 
@@ -97,7 +95,7 @@ def bareiss_det(rows):
     if len(m) == n:
         rank, sign, pivot = _bareiss(m)
         if rank == n:
-            return sign * pivot / scale
+            return Fraction(sign * pivot, scale)
     return Fraction(0)
 
 

@@ -1,13 +1,13 @@
 """Exact scalars and sparse multivariate polynomials.
 
-Two scalar domains, both exact: arbitrary-precision rationals
-(fractions.Fraction) and prime fields F_p for a runtime prime p >= 5,
-which check_prime admits for every caller.
+Two scalar domains, both exact: the rationals and prime fields F_p for a
+runtime prime p >= 5, which check_prime admits for every caller.
 There is no floating point anywhere in this package.  A polynomial owns
-its domain: MultiPoly.p is None over Q and the prime over F_p, where the
-coefficients are ints in [0, p).  FpElement is only an input type, which
-brings its prime to the polynomial it enters; to_fp is the one reduction
-of a scalar into F_p.
+its domain: MultiPoly.p is None over Q and the prime over F_p.  Its
+constructor owns the scalar format: over Q an integral coefficient is an
+int and any other a Fraction, over F_p every coefficient is an int in
+[0, p).  FpElement is only an input type, which brings its prime to the
+polynomial it enters; to_fp is the one reduction of a scalar into F_p.
 
 Polynomials are sparse maps from exponent tuples to nonzero scalars, with a
 single global monomial order: graded lexicographic, total degree first, ties
@@ -143,12 +143,13 @@ class MultiPoly:
 
     Values are immutable by convention; every operation returns a fresh
     polynomial and never mutates its arguments, so instances can be shared
-    freely.  Zero coefficients are never stored, and over F_p every stored
+    freely.  Zero coefficients are never stored, over Q a Fraction with
+    denominator 1 is stored as its int numerator, and over F_p every stored
     coefficient is reduced; this constructor is the one place that does
-    both, so operations hand it sums that may hold zeros or unreduced ints.
-    A term map of FpElements with p omitted takes their prime; over Q a
-    coefficient other than an int or a Fraction is a TypeError.  The zero
-    polynomial has an empty term map.
+    all three, so operations hand it sums that may hold zeros, integral
+    Fractions or unreduced ints.  A term map of FpElements with p omitted
+    takes their prime; over Q a coefficient other than an int or a
+    Fraction is a TypeError.  The zero polynomial has an empty term map.
     """
 
     __slots__ = ("arity", "terms", "p")
@@ -166,7 +167,10 @@ class MultiPoly:
                 for exps, c in terms.items():
                     if len(exps) != arity:
                         raise ValueError("exponent tuple %r does not match arity %d" % (exps, arity))
-                    if type(c) is not int and type(c) is not Fraction:
+                    if type(c) is Fraction:
+                        if c.denominator == 1:
+                            c = c.numerator
+                    elif type(c) is not int:
                         raise TypeError("coefficient %r over Q is not an int or a Fraction" % (c,))
                     if c:
                         clean[exps] = c
@@ -196,7 +200,7 @@ class MultiPoly:
         if not 0 <= i < arity:
             raise IndexError("variable index %d out of range for arity %d" % (i, arity))
         exps = tuple(1 if j == i else 0 for j in range(arity))
-        return cls(arity, {exps: Fraction(1)})
+        return cls(arity, {exps: 1})
 
     @classmethod
     def monomial(cls, arity, exps, c):
@@ -293,7 +297,7 @@ class MultiPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers take non-negative integer exponents")
-        result = MultiPoly.constant(self.arity, Fraction(1), self.p)
+        result = MultiPoly.constant(self.arity, 1, self.p)
         base = self
         e = n
         while e:
@@ -348,17 +352,8 @@ class MultiPoly:
         if p is None:  # an FpElement entry brings its prime, as in __mul__
             p = next((c.p for row in matrix for c in row if isinstance(c, FpElement)), None)
         one = (0,) * new_arity
-        images = []
-        for row in matrix:
-            image = {}
-            for k, c in enumerate(row):
-                if p is not None:
-                    c = to_fp(c, p)
-                elif type(c) is Fraction and c.denominator == 1:
-                    c = c.numerator  # int products are far cheaper
-                if c:
-                    image[one[:k] + (1,) + one[k + 1:]] = c
-            images.append(image)
+        units = [one[:k] + (1,) + one[k + 1:] for k in range(new_arity)]
+        images = [MultiPoly(new_arity, dict(zip(units, row)), p).terms for row in matrix]
         # powers[i][e] is the term map of image_i ** e; a term's product of
         # powers is scaled by its coefficient last, so that the products
         # stay in ints for an integer matrix
@@ -507,7 +502,7 @@ def _gcd_rec(P, Q):
             main = v
             break
     if main < 0:
-        return MultiPoly.constant(P.arity, Fraction(1), P._ring(Q))
+        return MultiPoly.constant(P.arity, 1, P._ring(Q))
     cP, ppP = _content_and_pp(P, main)
     cQ, ppQ = _content_and_pp(Q, main)
     cont = _gcd_rec(cP, cQ)
@@ -616,5 +611,5 @@ def coefficient_gcd(polys):
     first = nonzero[0]
     if (first.arity >= 3 and len({P.p for P in nonzero}) == 1
             and all(P.is_homogeneous() for P in nonzero) and _unit_line(nonzero)):
-        return MultiPoly.constant(first.arity, Fraction(1), first.p).normalized()
+        return MultiPoly.constant(first.arity, 1, first.p).normalized()
     return _fold_gcd(nonzero)

@@ -48,7 +48,7 @@ def _tokenize(text):
                 raise PolyParseError("zero denominator in rational literal")
             tokens.append(("num", Fraction(int(num), d)))
         elif m.group("integer"):
-            tokens.append(("num", Fraction(int(m.group("integer")))))
+            tokens.append(("num", int(m.group("integer"))))
         elif m.group("name"):
             tokens.append(("name", m.group("name")))
         else:
@@ -143,7 +143,7 @@ class _Parser:
         if self.peek()[0] == "^":
             self.next()
             kind, value = self.next()
-            if kind != "num" or value.denominator != 1 or value < 0:
+            if kind != "num" or value < 0 or value != int(value):
                 raise PolyParseError("exponent must be a non-negative integer")
             base = base ** int(value)
         return -base if negate else base

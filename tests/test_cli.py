@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 from jpencil import cli
 
@@ -265,6 +266,31 @@ def test_package_has_no_floats():
         assert flagged == (text in bad), text
 
 
+def _integral_check(node):
+    """Whether node compares a .denominator with the literal 1."""
+    if not isinstance(node, ast.Compare):
+        return False
+    sides = [node.left] + node.comparators
+    return (any(isinstance(n, ast.Attribute) and n.attr == "denominator" for n in sides)
+            and any(isinstance(n, ast.Constant) and n.value == 1 for n in sides))
+
+
+def test_only_poly_converts_integral_rationals():
+    # the MultiPoly constructor owns the scalar format over Q: it stores a
+    # Fraction with denominator 1 as an int, and no other module converts
+    for name, tree in _package_trees():
+        if name == "poly.py":
+            continue
+        lines = [node.lineno for node in ast.walk(tree) if _integral_check(node)]
+        assert not lines, "%s: integral-rational check at line %s" % (name, lines)
+    bad = ["c.denominator == 1", "x.denominator != 1", "1 == c.denominator",
+           "if type(c) is Fraction and c.denominator == 1: pass"]
+    good = ["c.denominator", "c.denominator == 2", "c.numerator == 1", "lcm(c.denominator, 1)"]
+    for text in bad + good:
+        flagged = any(_integral_check(node) for node in ast.walk(ast.parse(text)))
+        assert flagged == (text in bad), text
+
+
 # Functions, classes and methods in src/jpencil that neither the package
 # nor the benchmark uses yet, each with the reason it stays.
 _UNUSED_ALLOWED = {
@@ -410,6 +436,17 @@ def test_exit_code_of_every_subcommand():
         ]
         for argv, code in table:
             assert run_cli(argv)[0] == code, argv
+
+
+def test_probe_prime_is_admitted_before_any_enumeration():
+    # --prime 0 is a prime given, not the default primes; a large value
+    # meets the point cap before the trial division of the primality test
+    for prime in (0, 2 ** 61 - 1, (2 ** 31 - 1) ** 2):
+        start = time.perf_counter()
+        code, out, err = run_cli(["probe", "--target", "base-locus", "--prime", str(prime)])
+        assert (code, out) == (3, ""), prime
+        assert err.startswith("error: "), prime
+        assert time.perf_counter() - start < 1, prime
 
 
 def test_precondition_errors_exit_3():

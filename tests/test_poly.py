@@ -18,6 +18,7 @@ from jpencil.poly import (
     poly_gcd,
     to_fp,
 )
+from jpencil.polytext import parse_poly, poly_to_text
 
 
 def test_fp_element_small_prime_rejected():
@@ -318,6 +319,29 @@ def test_reduce_mod_commutes_with_calculus_and_division(A, B, p, entries):
     assume(not A.is_zero and not B.reduce_mod(p).is_zero)
     assert exact_divide(A * B, B) == A
     assert exact_divide((A * B).reduce_mod(p), B.reduce_mod(p)) == A.reduce_mod(p)
+
+
+def _stored_in_one_format(P):
+    """Every coefficient over Q is an int when it is integral, else a
+    Fraction."""
+    return all(type(c) is int or type(c) is Fraction and c.denominator != 1
+               for c in P.terms.values())
+
+
+@settings(max_examples=60)
+@given(_polys, _polys, st.lists(_coeffs, min_size=6, max_size=6))
+def test_integral_rationals_are_stored_as_ints(A, B, entries):
+    # denominators up to 4 make integral products such as (1/2)*2; the
+    # constructor stores each as an int, whichever operation made it
+    names = ("x0", "x1", "x2")
+    matrix = [entries[0:2], entries[2:4], entries[4:6]]
+    results = [A, A + B, A - B, A * B, A ** 3, A.partial_derivative(0),
+               A.linear_substitute(matrix), A.normalized(),
+               parse_poly(poly_to_text(A, names), names)]
+    if not B.is_zero:
+        results.append(exact_divide(A * B, B))
+    for P in results:
+        assert _stored_in_one_format(P), P
 
 
 # arities n -> m -> k with n != m != k, so that neither matrix is square
