@@ -15,6 +15,7 @@ one "coeff NAME:" line per variable.
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -402,8 +403,23 @@ def _cmd_probe(args):
 
 # -- argument grammar and dispatch -----------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse reads only integer and decimal literals as negative numbers,
+    so -1/2 or -1/2,0,0,0,1 would be taken for an unknown option.  No
+    option here starts with a digit, so an argument that starts with '-'
+    and a digit is a value.  Subparsers are made with the same class.
+
+    This replaces argparse's private _negative_number_matcher, which
+    ArgumentParser sets in __init__ and reads in _parse_optional (checked
+    on CPython 3.11); tests/test_cli.py fails by name if it is gone."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="jpencil",
         description="exact certificates for the quartic pencil and its exceptional form")
     parser.add_argument("--json", action="store_true",

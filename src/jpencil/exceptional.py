@@ -162,11 +162,15 @@ def _monomials(arity, degree):
     return sorted(rec(0, degree), key=grlex_key, reverse=True)
 
 
-def _check_tangent_input(omega_bar):
+def _check_tangent_shape(omega_bar):
     if omega_bar.arity != 4 or omega_bar.degree != 1:
         raise ValueError("tangent system expects a 1-form on four variables")
     if omega_bar.coefficient_degrees() != [3] or not omega_bar.has_homogeneous_coefficients():
         raise ValueError("coefficients must be homogeneous of degree 3")
+
+
+def _check_tangent_input(omega_bar):
+    _check_tangent_shape(omega_bar)
     if not descends_check(omega_bar).ok:
         raise ValueError("form does not descend")
     if not integrability_check(omega_bar).ok:
@@ -176,6 +180,17 @@ def _check_tangent_input(omega_bar):
 TangentReport = namedtuple(
     "TangentReport",
     ["ambient_dim", "raw_kernel_dim", "projective_dim", "contains_omega_bar"])
+
+_TRIPLES = {(0, 1, 2): 0, (0, 1, 3): 1, (0, 2, 3): 2, (1, 2, 3): 3}
+
+
+def _packed(exps):
+    """An exponent tuple of degree at most 7 as one int, base 8, so that
+    multiplying monomials adds their packed exponents."""
+    key = 0
+    for e in exps:
+        key = 8 * key + e
+    return key
 
 
 def tangent_system_matrices(omega_bar):
@@ -190,43 +205,48 @@ def tangent_system_matrices(omega_bar):
     integer multiple of omega_bar.  The rows are linear in omega, so the
     ranks and the kernel are those of omega_bar, and every nonzero multiple
     of omega_bar gives the same rows.  A form over F_p is a ValueError:
-    its residues are not the integers of a form over Q.
+    its residues are not the integers of a form over Q.  So is a form that
+    is not a 1-form on four variables with coefficients homogeneous of
+    degree 3: the packed exponents below hold only degrees up to 7.
+
+    For eta = x^m dx_s that 3-form is x^m (dx_s ^ d omega) plus
+    sum_i m_i x^(m - e_i) (omega ^ dx_i ^ dx_s), so column (s, m) is
+    filled from 16 fixed 3-forms by shifting their exponents.
     """
     if any(P.p is not None for P in omega_bar.terms.values()):
         raise ValueError("the tangent system is over Q; the form has coefficients mod a prime")
+    _check_tangent_shape(omega_bar)
     omega = normalize_form(omega_bar)[0]
     mono3 = _monomials(4, 3)
-    mono4 = _monomials(4, 4)
-    mono5 = _monomials(4, 5)
-    col_of = {}
-    for s in range(4):
-        for k, m in enumerate(mono3):
-            col_of[(s, m)] = s * 20 + k
-    n_cols = 80
+    row_of_mono4 = {_packed(m): i for i, m in enumerate(_monomials(4, 4))}
+    row_of_mono5 = {_packed(m): i for i, m in enumerate(_monomials(4, 5))}
+    n_rows5 = len(row_of_mono5)
+    units = [_packed(m) for m in _monomials(4, 1)]  # e_0, ..., e_3
 
-    euler_rows = [[0] * n_cols for _ in mono4]
-    row_of_mono4 = {m: i for i, m in enumerate(mono4)}
-    for s in range(4):
-        for m in mono3:
-            target = tuple(e + (1 if i == s else 0) for i, e in enumerate(m))
-            euler_rows[row_of_mono4[target]][col_of[(s, m)]] = 1
+    def shifted_terms(form):
+        # (row block, packed exponents, coefficient) of each term of a 3-form
+        return [(_TRIPLES[triple] * n_rows5, _packed(e), c)
+                for triple, P in form.terms.items() for e, c in P.terms.items()]
 
+    dx = [DiffForm(4, 1, {(i,): MultiPoly.constant(4, 1)}) for i in range(4)]
     d_omega = exterior_derivative(omega)
-    triples = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    integ_rows = [[0] * n_cols for _ in range(4 * len(mono5))]
-    row_of_m5 = {m: i for i, m in enumerate(mono5)}
+    omega_dx = [wedge(omega, dx[i]) for i in range(4)]
+    euler_rows = [[0] * 80 for _ in row_of_mono4]
+    integ_rows = [[0] * 80 for _ in range(4 * n_rows5)]
     for s in range(4):
-        dx_s = DiffForm(4, 1, {(s,): MultiPoly.constant(4, 1)})
+        own = shifted_terms(wedge(dx[s], d_omega))
+        others = [(i, shifted_terms(wedge(omega_dx[i], dx[s]))) for i in range(4) if i != s]
         for k, m in enumerate(mono3):
-            eta = dx_s * MultiPoly.monomial(4, m, 1)
-            residual = wedge(omega, exterior_derivative(eta)) + wedge(eta, d_omega)
             col = s * 20 + k
-            for t_idx, triple in enumerate(triples):
-                coeff = residual.terms.get(triple)
-                if coeff is None:
-                    continue
-                for exps, value in coeff.terms.items():
-                    integ_rows[t_idx * len(mono5) + row_of_m5[exps]][col] = value
+            key = _packed(m)
+            euler_rows[row_of_mono4[key + units[s]]][col] = 1
+            for block, e, c in own:
+                integ_rows[block + row_of_mono5[e + key]][col] += c
+            for i, terms in others:
+                if m[i]:
+                    lowered = key - units[i]
+                    for block, e, c in terms:
+                        integ_rows[block + row_of_mono5[e + lowered]][col] += m[i] * c
     return euler_rows, integ_rows, mono3
 
 
@@ -241,17 +261,37 @@ def _coefficient_vector(omega_bar, mono3):
 def tangent_system_dim(omega_bar):
     """Exact dimensions of the solution space of the linearized system.
 
-    Each dimension is 80 minus an exact Bareiss rank: of the 35 Euler rows
-    for the ambient space of descending forms, and of the full 259 x 80
-    system for the kernel.  contains_omega_bar multiplies both blocks by
-    the coefficient vector of the primitive integer multiple of omega_bar.
+    Each column is in exactly one Euler row, with coefficient 1.  Keeping
+    the first column of each Euler row as its pivot and replacing every
+    other column c by c - pivot is a change of unknowns of determinant 1
+    that turns each Euler row into a unit vector on its pivot; the other
+    unknowns, x^m dx_s - x^m' dx_s', are a basis of the forms that
+    descend.  So ambient_dim is the number of non-pivot columns, and
+    raw_kernel_dim is that number minus the exact Bareiss rank of the
+    integrability rows on those columns, without their zero rows and rows
+    equal to +- an earlier one.  contains_omega_bar multiplies the Euler
+    rows and the reduced rows by the coefficient vector of the primitive
+    integer multiple of omega_bar, in the same unknowns.  The input is
+    checked on that multiple too, in ints.
     """
-    _check_tangent_input(omega_bar)
-    euler_rows, integ_rows, mono3 = tangent_system_matrices(omega_bar)
-    ambient_dim = 80 - bareiss_rank(euler_rows)
-    raw_kernel_dim = 80 - bareiss_rank(euler_rows + integ_rows)
-    vec = _coefficient_vector(normalize_form(omega_bar)[0], mono3)
-    contains = not any(mat_vec(euler_rows, vec)) and not any(mat_vec(integ_rows, vec))
+    omega = normalize_form(omega_bar)[0]
+    _check_tangent_input(omega)
+    euler_rows, integ_rows, mono3 = tangent_system_matrices(omega)
+    moves = []
+    for row in euler_rows:
+        pivot, *rest = [c for c, v in enumerate(row) if v]
+        moves += [(c, pivot) for c in rest]
+    reduced, seen = [], set()
+    for row in integ_rows:
+        new = tuple([row[c] - row[p] for c, p in moves])
+        if any(new) and new not in seen:
+            seen.update((new, tuple(-v for v in new)))
+            reduced.append(list(new))
+    ambient_dim = len(moves)
+    raw_kernel_dim = ambient_dim - bareiss_rank(reduced)
+    vec = _coefficient_vector(omega, mono3)
+    contains = not any(mat_vec(euler_rows, vec)) and not any(
+        mat_vec(reduced, [vec[c] for c, _ in moves]))
     return TangentReport(ambient_dim, raw_kernel_dim, raw_kernel_dim - 1, contains)
 
 

@@ -21,17 +21,42 @@ from math import gcd as _int_gcd
 
 
 class BadPrimeError(ValueError):
-    """The prime is unusable: composite, too small, or divides a denominator."""
+    """The prime is unusable: composite, too small, too large to decide, or
+    divides a denominator."""
+
+
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound, the least strong pseudoprime to all of them (Sorenson
+# and Webster, 2017).  The first 12 are not enough: 318665857834031151167461
+# = 399165290221 * 798330580441 passes them all.
+PRIME_BOUND = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n):
+    """Exact primality of an int n, by deterministic Miller-Rabin; an
+    n >= PRIME_BOUND is a BadPrimeError."""
+    if n >= PRIME_BOUND:
+        raise BadPrimeError("primality is decided only below %d, got %r" % (PRIME_BOUND, n))
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -40,8 +65,9 @@ _PRIMES = set()
 
 
 def check_prime(p):
-    """Admit p as the modulus of a prime field: a prime p >= 5, else a
-    BadPrimeError.  The one check for polynomials, elements and probes."""
+    """Admit p as the modulus of a prime field: a prime 5 <= p < PRIME_BOUND,
+    else a BadPrimeError.  The one check for polynomials, elements and
+    probes."""
     if p not in _PRIMES:
         if p < 5 or not is_prime(p):
             raise BadPrimeError("need a prime p >= 5, got %r" % (p,))
@@ -201,10 +227,6 @@ class MultiPoly:
             raise IndexError("variable index %d out of range for arity %d" % (i, arity))
         exps = tuple(1 if j == i else 0 for j in range(arity))
         return cls(arity, {exps: 1})
-
-    @classmethod
-    def monomial(cls, arity, exps, c):
-        return cls(arity, {tuple(exps): c})
 
     # -- structure ---------------------------------------------------------
 

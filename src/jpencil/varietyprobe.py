@@ -158,15 +158,11 @@ def zero_locus(polys, n, p):
     for P in polys:
         if P.arity != n + 1:
             raise ValueError("arity %d polynomial in P^%d" % (P.arity, n))
-    # the cap comes before the primality test, whose trial division takes
-    # about sqrt(p) steps; the count divides by p - 1, so it is taken only
-    # for p >= 5, and check_prime refuses a smaller p at once
-    if p >= 5:
-        count = (p ** (n + 1) - 1) // (p - 1)
-        if count > POINT_CAP:
-            raise ValueError("P^%d(F_%d) has %d points, over the %d cap"
-                             % (n, p, count, POINT_CAP))
     check_prime(p)
+    count = (p ** (n + 1) - 1) // (p - 1)
+    if count > POINT_CAP:
+        raise ValueError("P^%d(F_%d) has %d points, over the %d cap"
+                         % (n, p, count, POINT_CAP))
     reduced = [r for r in (_reduce_poly(P, p) for P in polys) if r]
     maxdeg = max((e for terms in reduced for _, pairs in terms for _, e in pairs),
                  default=0)

@@ -36,9 +36,9 @@ def _rand_homogeneous(rng, arity, degree):
         exps = [0] * arity
         for _ in range(degree):
             exps[rng.randrange(arity)] += 1
-        P = P + MultiPoly.monomial(arity, tuple(exps), Fraction(rng.randint(-4, 4)))
+        P = P + MultiPoly(arity, {tuple(exps): Fraction(rng.randint(-4, 4))})
     if P.is_zero:
-        P = MultiPoly.monomial(arity, tuple([degree] + [0] * (arity - 1)), Fraction(1))
+        P = MultiPoly(arity, {tuple([degree] + [0] * (arity - 1)): Fraction(1)})
     return P
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: reports, exit codes, goldens, round trips."""
 
+import argparse
 import ast
 import contextlib
 import io
@@ -439,8 +440,8 @@ def test_exit_code_of_every_subcommand():
 
 
 def test_probe_prime_is_admitted_before_any_enumeration():
-    # --prime 0 is a prime given, not the default primes; a large value
-    # meets the point cap before the trial division of the primality test
+    # --prime 0 is a prime given, not the default primes; a large prime is
+    # over the point cap and a large composite fails Miller-Rabin, both at once
     for prime in (0, 2 ** 61 - 1, (2 ** 31 - 1) ** 2):
         start = time.perf_counter()
         code, out, err = run_cli(["probe", "--target", "base-locus", "--prime", str(prime)])
@@ -494,3 +495,40 @@ def test_build_pullback():
         code, _, err = run_cli(["build", "pullback", "--form", eta,
                                 "--matrix", "1,0;2,0;3,0"])
         assert code == 3
+
+
+def test_negative_fractions_are_values():
+    # argparse reads only integer and decimal literals as negative numbers;
+    # each spelling below exited 2 with a usage error, unlike its --opt=
+    # (or, for a positional, its "--") spelling
+    assert hasattr(argparse.ArgumentParser(), "_negative_number_matcher"), \
+        "cli._ArgumentParser overrides an argparse attribute this Python lacks"
+    factors = ["--factor", "x0", "--factor", "x1", "--factor", "x2"]
+    with tempfile.TemporaryDirectory() as tmp:
+        eta = os.path.join(tmp, "eta.form")
+        assert run_cli(["build", "rational", "z0", "z1*z2", "--out", eta])[0] == 0
+        matrix = "-1/2,0,0,1;0,1,0,-1;0,0,1,2"
+        cases = [
+            (["build", "log"] + factors + ["--weight", "1/2", "--weight", "-1/2", "--weight", "0"],
+             ["build", "log"] + factors + ["--weight=1/2", "--weight=-1/2", "--weight=0"]),
+            (["invariants", "-1/2,0,0,0,1"], ["invariants", "--", "-1/2,0,0,0,1"]),
+            (["classify", "-1/2,0,0,0,1"], ["classify", "--", "-1/2,0,0,0,1"]),
+            (["veronese", "-1/2,1"], ["veronese", "--", "-1/2,1"]),
+            (["veronese", "-2/3,-1", "--degree", "3"], ["veronese", "--degree", "3", "--", "-2/3,-1"]),
+            (["build", "pullback", "--form", eta, "--matrix", matrix],
+             ["build", "pullback", "--form", eta, "--matrix=" + matrix]),
+        ]
+        for argv, spelled in cases:
+            code, out, err = run_cli(argv)
+            assert (code, err) == (0, ""), argv
+            assert (code, out, err) == run_cli(spelled), argv
+    assert "-1/2" in run_cli(cases[0][0])[1]
+    # an option is still an option
+    for argv in (["veronese", "1,0", "--bogus"], ["veronese", "-x"]):
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                cli.run(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+            else:
+                raise AssertionError(argv)

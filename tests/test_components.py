@@ -22,9 +22,9 @@ def _rand_homogeneous(rng, arity, degree):
         exps = [0] * arity
         for _ in range(degree):
             exps[rng.randrange(arity)] += 1
-        P = P + MultiPoly.monomial(arity, tuple(exps), Fraction(rng.randint(-3, 3)))
+        P = P + MultiPoly(arity, {tuple(exps): Fraction(rng.randint(-3, 3))})
     if P.is_zero:
-        P = MultiPoly.monomial(arity, tuple([degree] + [0] * (arity - 1)), Fraction(1))
+        P = MultiPoly(arity, {tuple([degree] + [0] * (arity - 1)): Fraction(1)})
     return P
 
 

@@ -1,5 +1,6 @@
 """Pipeline for the degree-two exceptional form, frozen end to end."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,11 +22,12 @@ from jpencil.exceptional import (
     tangent_system_dim,
     tangent_system_matrices,
 )
-from jpencil.exterior import (DiffForm, PolyVectorField, descends_check,
-                              integrability_check, interior_product, lie_bracket,
-                              lie_derivative, pullback_form, saturate)
+from jpencil.exterior import (DiffForm, PolyVectorField, descends_check, euler_field,
+                              exterior_derivative, integrability_check, interior_product,
+                              lie_bracket, lie_derivative, normalize_form, pullback_form,
+                              saturate, wedge)
 from jpencil.linalg import bareiss_rank
-from jpencil.poly import MultiPoly, exact_divide
+from jpencil.poly import MultiPoly, exact_divide, grlex_key
 from jpencil.polytext import poly_to_text
 
 A_NAMES = ("a0", "a1", "a2", "a3")
@@ -145,23 +147,78 @@ def _sympy_rank(rows):
     return DomainMatrix(entries, (len(rows), len(rows[0])), QQ).rank()
 
 
-def test_tangent_dims_match_sympy_rank():
-    # independent oracle for the one elimination path: the criterion-05
-    # forms and a seeded GL(4) pullback of the reference form
-    fields = affine_fields(4)
-    forms = [reference_form(), derive_omega_bar().omega_bar,
-             contract_volume(fields.X, fields.Y)]
-    rng = random.Random(7006)
+def _gl4_pullback(seed):
+    rng = random.Random(seed)
     while True:
         g = [[Fraction(rng.randint(-2, 2)) for _ in range(4)] for _ in range(4)]
         if bareiss_rank(g) == 4:
-            break
-    forms.append(pullback_form(g, reference_form()))
-    for omega in forms:
+            return pullback_form(g, reference_form())
+
+
+def _rational_quadric(rng):
+    x = [MultiPoly.variable(4, i) for i in range(4)]
+    return sum((Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * x[i] * x[j]
+                for i in range(4) for j in range(i, 4)), MultiPoly.zero(4))
+
+
+def _rational_forms(seed, count):
+    rng = random.Random(seed)
+    return [build_rational(_rational_quadric(rng), _rational_quadric(rng)) for _ in range(count)]
+
+
+def test_tangent_dims_match_sympy_rank():
+    # independent oracle for the reduced rank: sympy's rank of the full
+    # 259 x 80 system, on the criterion-05 forms and a seeded GL(4) pullback
+    # of the reference form (raw kernel 14), and on seeded rational forms
+    # (raw kernel 17)
+    fields = affine_fields(4)
+    orbit = [reference_form(), derive_omega_bar().omega_bar,
+             contract_volume(fields.X, fields.Y), _gl4_pullback(7006)]
+    for omega, kernel in [(f, 14) for f in orbit] + [(f, 17) for f in _rational_forms(7009, 3)]:
         report = tangent_system_dim(omega)
         euler_rows, integ_rows, _ = tangent_system_matrices(omega)
         assert report.ambient_dim == 80 - _sympy_rank(euler_rows) == 45
-        assert report.raw_kernel_dim == 80 - _sympy_rank(euler_rows + integ_rows) == 14
+        assert report.raw_kernel_dim == 80 - _sympy_rank(euler_rows + integ_rows) == kernel
+        assert report.contains_omega_bar is True
+
+
+def _wedge_rows(omega_bar):
+    """The tangent system built one column at a time, from the forms: for
+    eta = x^m dx_s, the Euler row of i_R(eta) and the integrability rows of
+    omega ^ d(eta) + eta ^ d(omega), one wedge product each."""
+    omega = normalize_form(omega_bar)[0]
+
+    def monomials(degree):
+        exps = (e for e in itertools.product(range(degree + 1), repeat=4) if sum(e) == degree)
+        return sorted(exps, key=grlex_key, reverse=True)
+
+    mono3, mono4, mono5 = monomials(3), monomials(4), monomials(5)
+    triples = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    euler_rows = [[0] * 80 for _ in mono4]
+    integ_rows = [[0] * 80 for _ in range(4 * len(mono5))]
+    d_omega = exterior_derivative(omega)
+    for s in range(4):
+        for k, m in enumerate(mono3):
+            eta = DiffForm(4, 1, {(s,): MultiPoly(4, {m: 1})})
+            col = s * 20 + k
+            radial = interior_product(euler_field(4), eta).terms[()]
+            for exps, value in radial.terms.items():
+                euler_rows[mono4.index(exps)][col] = value
+            residual = wedge(omega, exterior_derivative(eta)) + wedge(eta, d_omega)
+            for t, triple in enumerate(triples):
+                coeff = residual.terms.get(triple, MultiPoly.zero(4))
+                for exps, value in coeff.terms.items():
+                    integ_rows[t * len(mono5) + mono5.index(exps)][col] = value
+    return euler_rows, integ_rows, mono3
+
+
+def test_tangent_rows_match_the_wedge_oracle():
+    fields = affine_fields(4)
+    forms = [reference_form(), derive_omega_bar().omega_bar,
+             contract_volume(fields.X, fields.Y), _gl4_pullback(7010)]
+    forms += _rational_forms(7011, 3)
+    for omega in forms:
+        assert tangent_system_matrices(omega) == _wedge_rows(omega)
 
 
 def test_tangent_system_shapes():
@@ -180,6 +237,14 @@ def test_tangent_input_guards():
     with pytest.raises(ValueError):
         tangent_system_dim(DiffForm.one_form([x[0] ** 3, MultiPoly.zero(4),
                                               MultiPoly.zero(4), MultiPoly.zero(4)]))
+    # the public rows refuse a wrong shape too: their exponents are packed
+    # in base 8, and a degree-10 coefficient would carry into a valid key
+    zero = MultiPoly.zero(4)
+    for form in (linear,
+                 DiffForm.one_form([x[1] ** 10, -x[0] * x[1] ** 9, zero, zero]),
+                 DiffForm.one_form([x[1] ** 3 + x[1], zero, zero, zero])):
+        with pytest.raises(ValueError):
+            tangent_system_matrices(form)
 
 
 def test_tangent_input_rejects_a_form_over_fp():
@@ -192,12 +257,6 @@ def test_tangent_input_rejects_a_form_over_fp():
             tangent_system_dim(reduced)
         with pytest.raises(ValueError):
             tangent_system_matrices(reduced)
-
-
-def _rational_quadric(rng):
-    x = [MultiPoly.variable(4, i) for i in range(4)]
-    return sum((Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * x[i] * x[j]
-                for i in range(4) for j in range(i, 4)), MultiPoly.zero(4))
 
 
 def test_tangent_rows_are_those_of_the_primitive_integer_form():

@@ -40,7 +40,7 @@ def _rand_poly(rng, arity, maxdeg):
         exps = [0] * arity
         for _ in range(rng.randint(0, maxdeg)):
             exps[rng.randrange(arity)] += 1
-        P = P + MultiPoly.monomial(arity, tuple(exps), Fraction(rng.randint(-3, 3)))
+        P = P + MultiPoly(arity, {tuple(exps): Fraction(rng.randint(-3, 3))})
     return P
 
 

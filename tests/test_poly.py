@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,39 @@ def test_a_prime_field_needs_a_prime():
             build()
     assert [n for n in range(2, 20) if poly.is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert x.reduce_mod(31).p == 31
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division_and_sympy():
+    from sympy import isprime
+    assert [n for n in range(10 ** 4) if poly.is_prime(n)] == \
+        [n for n in range(10 ** 4) if _trial_division(n)]
+    rng = random.Random(1009)
+    draws = [rng.getrandbits(64) | 1 for _ in range(300)]
+    draws += [rng.randrange(2 ** 63, 2 ** 64) for _ in range(100)]
+    # strong pseudoprimes: to bases 2..23 (caught by 29), and to all of
+    # 2..37, the first 12 primes (caught only by 41)
+    draws += [3825123056546413051, 318665857834031151167461, 2 ** 61 - 1, 2 ** 64 - 59]
+    assert [poly.is_prime(n) for n in draws] == [isprime(n) for n in draws]
+    assert sum(isprime(n) for n in draws) >= 5
+
+
+def test_a_large_prime_is_admitted_at_once():
+    # trial division of 2^61 - 1 never returned; Miller-Rabin decides it in
+    # microseconds, and a modulus it cannot decide is refused at once
+    start = time.perf_counter()
+    assert MultiPoly(1, {(1,): 1}, 2 ** 61 - 1).p == 2 ** 61 - 1
+    largest = 3317044064679887385961813  # the largest prime below the bound
+    assert MultiPoly(1, {(1,): 1}, largest).p == largest
+    for n in (poly.PRIME_BOUND, 2 ** 89 - 1):
+        with pytest.raises(poly.BadPrimeError, match="decided only below"):
+            FpElement(1, n)
+        with pytest.raises(poly.BadPrimeError):
+            poly.is_prime(n)
+    assert time.perf_counter() - start < 1
 
 
 def test_fp_element_modulus_mismatch():
@@ -109,7 +143,7 @@ def test_ring_axioms_random():
         for _ in range(rng.randint(1, 4)):
             exps = tuple(rng.randint(0, 2) for _ in range(3))
             c = scalar(rng.randint(-4, 4), rng.randint(1, 3))
-            P = P + MultiPoly.monomial(3, exps, c)
+            P = P + MultiPoly(3, {exps: c})
         return P
 
     for scalar in (Fraction, _f7):
@@ -130,10 +164,8 @@ def test_partial_derivative_product_rule():
     # over F_7 the exponents reach 7, whose derivative terms vanish
     for scalar, top, rounds in ((Fraction, 3, 10), (_f7, 4, 30)):
         for _ in range(rounds):
-            A = MultiPoly.monomial(2, (rng.randint(0, top), rng.randint(0, top)),
-                                   scalar(rng.randint(1, 5)))
-            B = MultiPoly.monomial(2, (rng.randint(0, top), rng.randint(0, top)),
-                                   scalar(rng.randint(-5, -1)))
+            A = MultiPoly(2, {(rng.randint(0, top), rng.randint(0, top)): scalar(rng.randint(1, 5))})
+            B = MultiPoly(2, {(rng.randint(0, top), rng.randint(0, top)): scalar(rng.randint(-5, -1))})
             for i in range(2):
                 lhs = (A * B).partial_derivative(i)
                 rhs = A.partial_derivative(i) * B + A * B.partial_derivative(i)
@@ -169,7 +201,7 @@ def test_linear_substitute_composes():
     # x0 -> y0 + y1, x1 -> y0 - y1 gives 4 y0 y1
     matrix = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
     Q = P.linear_substitute(matrix)
-    assert Q == MultiPoly.monomial(2, (1, 1), Fraction(4))
+    assert Q == MultiPoly(2, {(1, 1): Fraction(4)})
 
 
 def test_normalized_primitive_positive_leading():
@@ -192,7 +224,7 @@ def _rand_rational_poly(rng, arity=3):
     P = MultiPoly.zero(arity)
     for _ in range(rng.randint(1, 4)):
         exps = tuple(rng.randint(0, 2) for _ in range(arity))
-        P = P + MultiPoly.monomial(arity, exps, Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        P = P + MultiPoly(arity, {exps: Fraction(rng.randint(-6, 6), rng.randint(1, 4))})
     return P
 
 
