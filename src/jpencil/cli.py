@@ -405,9 +405,10 @@ def _cmd_probe(args):
 
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse reads only integer and decimal literals as negative numbers,
-    so -1/2 or -1/2,0,0,0,1 would be taken for an unknown option.  No
-    option here starts with a digit, so an argument that starts with '-'
-    and a digit is a value.  Subparsers are made with the same class.
+    so -1/2, -1/2,0,0,0,1 or -x0^2*x1 would be taken for an unknown option.
+    No option here starts with a digit or a variable name (x, a, z or t and
+    a digit, as in polytext), so an argument that starts with '-' and one of
+    those is a value.  Subparsers are made with the same class.
 
     This replaces argparse's private _negative_number_matcher, which
     ArgumentParser sets in __init__ and reads in _parse_optional (checked
@@ -415,7 +416,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d")
+        self._negative_number_matcher = re.compile(r"^-[xazt]?\d")
 
 
 def build_parser():

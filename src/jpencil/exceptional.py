@@ -169,14 +169,6 @@ def _check_tangent_shape(omega_bar):
         raise ValueError("coefficients must be homogeneous of degree 3")
 
 
-def _check_tangent_input(omega_bar):
-    _check_tangent_shape(omega_bar)
-    if not descends_check(omega_bar).ok:
-        raise ValueError("form does not descend")
-    if not integrability_check(omega_bar).ok:
-        raise ValueError("form is not integrable")
-
-
 TangentReport = namedtuple(
     "TangentReport",
     ["ambient_dim", "raw_kernel_dim", "projective_dim", "contains_omega_bar"])
@@ -269,14 +261,20 @@ def tangent_system_dim(omega_bar):
     descend.  So ambient_dim is the number of non-pivot columns, and
     raw_kernel_dim is that number minus the exact Bareiss rank of the
     integrability rows on those columns, without their zero rows and rows
-    equal to +- an earlier one.  contains_omega_bar multiplies the Euler
-    rows and the reduced rows by the coefficient vector of the primitive
-    integer multiple of omega_bar, in the same unknowns.  The input is
-    checked on that multiple too, in ints.
+    equal to +- an earlier one.
+
+    The rows also decide the input: for eta = omega they give
+    2 omega ^ d(omega).  So omega, the primitive integer multiple of
+    omega_bar, descends iff the Euler rows kill its coefficient vector, and
+    is then integrable iff the reduced rows kill its entries on the
+    non-pivot columns; a failure is a ValueError, raised before the rank.
+    contains_omega_bar is that input check, so it is always True.
     """
     omega = normalize_form(omega_bar)[0]
-    _check_tangent_input(omega)
     euler_rows, integ_rows, mono3 = tangent_system_matrices(omega)
+    vec = _coefficient_vector(omega, mono3)
+    if any(mat_vec(euler_rows, vec)):
+        raise ValueError("form does not descend")
     moves = []
     for row in euler_rows:
         pivot, *rest = [c for c, v in enumerate(row) if v]
@@ -287,24 +285,24 @@ def tangent_system_dim(omega_bar):
         if any(new) and new not in seen:
             seen.update((new, tuple(-v for v in new)))
             reduced.append(list(new))
+    if any(mat_vec(reduced, [vec[c] for c, _ in moves])):
+        raise ValueError("form is not integrable")
     ambient_dim = len(moves)
     raw_kernel_dim = ambient_dim - bareiss_rank(reduced)
-    vec = _coefficient_vector(omega, mono3)
-    contains = not any(mat_vec(euler_rows, vec)) and not any(
-        mat_vec(reduced, [vec[c] for c, _ in moves]))
-    return TangentReport(ambient_dim, raw_kernel_dim, raw_kernel_dim - 1, contains)
+    return TangentReport(ambient_dim, raw_kernel_dim, raw_kernel_dim - 1, True)
 
 
 def in_tangent_kernel(omega_bar, eta):
-    """Membership in the solution space, checked on the forms themselves."""
+    """Membership in the solution space: eta is a 1-form on four variables
+    with cubic coefficients whose coefficient vector the Euler and
+    integrability rows of omega_bar kill."""
     if eta.is_zero:
         return True
-    if eta.coefficient_degrees() != [3] or not eta.has_homogeneous_coefficients():
+    if ((eta.arity, eta.degree, eta.coefficient_degrees()) != (4, 1, [3])
+            or not eta.has_homogeneous_coefficients()):
         return False
-    if not descends_check(eta).ok:
-        return False
-    residual = wedge(omega_bar, exterior_derivative(eta)) + wedge(eta, exterior_derivative(omega_bar))
-    return residual.is_zero
+    euler_rows, integ_rows, mono3 = tangent_system_matrices(omega_bar)
+    return not any(mat_vec(euler_rows + integ_rows, _coefficient_vector(eta, mono3)))
 
 
 # -- double tangency of the discriminant ------------------------------------

@@ -532,3 +532,31 @@ def test_negative_fractions_are_values():
                 assert exc.code == 2, argv
             else:
                 raise AssertionError(argv)
+
+
+def test_negative_polynomials_are_values():
+    # '-' and a variable name began an unknown option: both commands exited 2
+    factors = ["--factor", "x1", "--factor", "x2", "--weight", "1", "--weight", "1",
+               "--weight", "-2"]
+    cases = [
+        (["build", "rational", "-x0^2*x1", "x0*x1*x2"],
+         ["build", "rational", "--", "-x0^2*x1", "x0*x1*x2"]),
+        (["build", "log", "--factor", "-x0"] + factors,
+         ["build", "log", "--factor=-x0"] + factors),
+    ]
+    for argv, spelled in cases:
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, ""), argv
+        assert (code, out, err) == run_cli(spelled), argv
+    assert "F1: -x0^2*x1\n" in run_cli(cases[0][0])[1]
+    # -h is still the help option
+    for argv in (["-h"], ["build", "rational", "-h"], ["build", "log", "-h"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            try:
+                cli.run(argv)
+            except SystemExit as exc:
+                assert exc.code == 0, argv
+            else:
+                raise AssertionError(argv)
+        assert out.getvalue().startswith("usage: jpencil"), argv

@@ -1,12 +1,19 @@
 """Pipeline for the degree-two exceptional form, frozen end to end."""
 
+import contextlib
+import functools
+import io
 import itertools
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jpencil import exceptional
+from jpencil import cli, exceptional
 from jpencil.components import build_rational
 from jpencil.exceptional import (
     PipelineError,
@@ -22,10 +29,10 @@ from jpencil.exceptional import (
     tangent_system_dim,
     tangent_system_matrices,
 )
-from jpencil.exterior import (DiffForm, PolyVectorField, descends_check, euler_field,
-                              exterior_derivative, integrability_check, interior_product,
-                              lie_bracket, lie_derivative, normalize_form, pullback_form,
-                              saturate, wedge)
+from jpencil.exterior import (DiffForm, PolyVectorField, descends_check, differential,
+                              euler_field, exterior_derivative, form_to_text,
+                              integrability_check, interior_product, lie_bracket,
+                              lie_derivative, normalize_form, pullback_form, saturate, wedge)
 from jpencil.linalg import bareiss_rank
 from jpencil.poly import MultiPoly, exact_divide, grlex_key
 from jpencil.polytext import poly_to_text
@@ -247,6 +254,60 @@ def test_tangent_input_guards():
             tangent_system_matrices(form)
 
 
+def _descending_forms(seed, count):
+    """Seeded i_R(alpha), alpha a 2-form with rational quadric coefficients:
+    each descends, because i_R i_R = 0."""
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(4), 2))
+    return [interior_product(euler_field(4),
+                             DiffForm(4, 2, {pair: _rational_quadric(rng) for pair in pairs}))
+            for _ in range(count)]
+
+
+def _undescending_forms(seed, count):
+    """Seeded 1-forms with cubic coefficients q_s * x_i that do not descend."""
+    rng = random.Random(seed)
+    x = [MultiPoly.variable(4, i) for i in range(4)]
+    return [DiffForm.one_form([_rational_quadric(rng) * x[rng.randrange(4)] for _ in range(4)])
+            for _ in range(count)]
+
+
+def test_tangent_refusals_name_their_cause():
+    # the library and `exceptional tangent-dim --form` (exit 3) name the
+    # first condition the input fails
+    cases = [(f, "form is not integrable") for f in _descending_forms(7012, 10)]
+    cases += [(f, "form does not descend") for f in _undescending_forms(7013, 10)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.form")
+        for omega, message in cases:
+            assert descends_check(omega).ok == (message == "form is not integrable")
+            assert not integrability_check(omega).ok
+            with pytest.raises(ValueError) as info:
+                tangent_system_dim(omega)
+            assert str(info.value) == message
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(form_to_text(omega, X_NAMES))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.run(["exceptional", "tangent-dim", "--form", path])
+            assert (code, err.getvalue()) == (3, "error: %s\n" % message)
+
+
+def test_tangent_system_dim_checks_its_input_on_the_rows(monkeypatch):
+    # the symbolic descent and integrability checks are not called: the
+    # rows give the dimensions and both refusals
+    def refuse(omega):
+        raise AssertionError("tangent_system_dim ran a symbolic check")
+
+    monkeypatch.setattr(exceptional, "descends_check", refuse)
+    monkeypatch.setattr(exceptional, "integrability_check", refuse)
+    assert tangent_system_dim(reference_form()) == (45, 14, 13, True)
+    with pytest.raises(ValueError, match="^form is not integrable$"):
+        tangent_system_dim(_descending_forms(7012, 1)[0])
+    with pytest.raises(ValueError, match="^form does not descend$"):
+        tangent_system_dim(_undescending_forms(7013, 1)[0])
+
+
 def test_tangent_input_rejects_a_form_over_fp():
     # the system is over Q: residues read as rationals gave a kernel of 0
     # (mod 7) or 9 (mod 5) instead of an error, also from the public rows
@@ -280,6 +341,78 @@ def test_in_tangent_kernel():
     eta = DiffForm.one_form([x[1] ** 2 * 2 * x[0], -(x[0] ** 2) * 2 * x[1],
                              MultiPoly.zero(4), MultiPoly.zero(4)])
     assert not in_tangent_kernel(ref, eta)
+
+
+def _wedge_in_tangent_kernel(omega_bar, eta):
+    """The membership oracle, on the forms themselves: eta has cubic
+    coefficients, descends, and omega ^ d(eta) + eta ^ d(omega) = 0."""
+    if eta.is_zero:
+        return True
+    if eta.coefficient_degrees() != [3] or not eta.has_homogeneous_coefficients():
+        return False
+    if not descends_check(eta).ok:
+        return False
+    residual = wedge(omega_bar, exterior_derivative(eta)) + wedge(eta, exterior_derivative(omega_bar))
+    return residual.is_zero
+
+
+@functools.cache
+def _forms_and_lie_derivatives():
+    """The criterion-05 forms, a GL(4) pullback and two seeded rational
+    forms, each with its 16 Lie derivatives along x_j d/dx_i."""
+    fields = affine_fields(4)
+    forms = [reference_form(), derive_omega_bar().omega_bar,
+             contract_volume(fields.X, fields.Y), _gl4_pullback(7014)]
+    forms += _rational_forms(7015, 2)
+    x = [MultiPoly.variable(4, i) for i in range(4)]
+    zero = MultiPoly.zero(4)
+    units = [PolyVectorField([x[j] if k == i else zero for k in range(4)])
+             for i in range(4) for j in range(4)]
+    return [(omega, [lie_derivative(A, omega) for A in units]) for omega in forms]
+
+
+def test_every_linear_lie_derivative_is_a_member():
+    for omega, derivatives in _forms_and_lie_derivatives():
+        for eta in derivatives:
+            assert in_tangent_kernel(omega, eta)
+            assert _wedge_in_tangent_kernel(omega, eta)
+
+
+def test_a_member_must_descend():
+    # for omega = build_rational(P, Q), each eta = dh with h in P^2, PQ, Q^2
+    # has omega ^ d(eta) + eta ^ d(omega) = dh ^ d(omega) = 0, as h is a
+    # function of P and Q, but i_R(eta) = 4h: only the Euler rows refuse it
+    rng = random.Random(7016)
+    P, Q = _rational_quadric(rng), _rational_quadric(rng)
+    omega = build_rational(P, Q)
+    for h in (P * P, P * Q, Q * Q):
+        eta = differential(h)
+        assert (wedge(omega, exterior_derivative(eta)) + wedge(eta, exterior_derivative(omega))).is_zero
+        assert not in_tangent_kernel(omega, eta)
+        assert not _wedge_in_tangent_kernel(omega, eta)
+
+
+def _sparse_polys(degree):
+    monomials = [e for e in itertools.product(range(degree + 1), repeat=4) if sum(e) == degree]
+    terms = st.dictionaries(st.sampled_from(monomials),
+                            st.integers(-3, 3).filter(bool).map(Fraction), min_size=1, max_size=2)
+    return terms.map(lambda t: MultiPoly(4, t))
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 5),
+       st.dictionaries(st.sampled_from(list(itertools.combinations(range(4), 2))),
+                       _sparse_polys(2), max_size=3),
+       st.lists(st.integers(-2, 2), min_size=16, max_size=16),
+       st.dictionaries(st.sampled_from([(s,) for s in range(4)]), _sparse_polys(3), max_size=1))
+def test_row_membership_equals_the_wedge_oracle(index, alpha, weights, rest):
+    # eta = i_R(alpha), which descends, plus an orbit direction, plus a
+    # term that in general does not descend
+    omega, derivatives = _forms_and_lie_derivatives()[index]
+    eta = interior_product(euler_field(4), DiffForm(4, 2, alpha)) + DiffForm(4, 1, rest)
+    for weight, derivative in zip(weights, derivatives):
+        eta = eta + derivative * weight
+    assert in_tangent_kernel(omega, eta) == _wedge_in_tangent_kernel(omega, eta)
 
 
 def test_linear_symmetry_directions_in_kernel():
