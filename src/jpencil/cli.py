@@ -15,6 +15,7 @@ one "coeff NAME:" line per variable.
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -510,7 +511,16 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed standard output: leave quietly, as a process
+        # killed by SIGPIPE would, and point stdout at os.devnull so that
+        # the flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

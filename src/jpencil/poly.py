@@ -156,6 +156,19 @@ def _mul_terms(a, b):
     return out
 
 
+def _mul_packed(a, b):
+    """The product of two term maps keyed by packed monomials, in which a
+    product of monomials is a sum of keys."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            prod = c1 * c2
+            cur = out.get(k)
+            out[k] = prod if cur is None else cur + prod
+    return out
+
+
 def grlex_key(exps):
     # Graded lex: compare by total degree, then plain tuple order, under which
     # a larger exponent of an earlier variable wins.  max() over keys gives the
@@ -363,7 +376,14 @@ class MultiPoly:
 
     def linear_substitute(self, matrix):
         """Compose with a linear map: one matrix row per old variable, one
-        column per new variable; old_i maps to sum_j matrix[i][j] * new_j."""
+        column per new variable; old_i maps to sum_j matrix[i][j] * new_j.
+
+        The products are taken on packed monomials: new variable j is the
+        digit of weight base ** (m - 1 - j), m new variables, with base one
+        more than the total degree, so that no exponent of a product carries
+        into the next digit and multiplying two monomials adds two ints.
+        The keys are unpacked to exponent tuples once, for the result.
+        """
         if len(matrix) != self.arity:
             raise ValueError("matrix has %d rows, arity is %d" % (len(matrix), self.arity))
         new_arity = len(matrix[0]) if matrix else 0
@@ -373,27 +393,32 @@ class MultiPoly:
         p = self.p
         if p is None:  # an FpElement entry brings its prime, as in __mul__
             p = next((c.p for row in matrix for c in row if isinstance(c, FpElement)), None)
+        base = max(self.total_degree(), 0) + 1
+        weights = [base ** (new_arity - 1 - j) for j in range(new_arity)]
         one = (0,) * new_arity
-        units = [one[:k] + (1,) + one[k + 1:] for k in range(new_arity)]
-        images = [MultiPoly(new_arity, dict(zip(units, row)), p).terms for row in matrix]
-        # powers[i][e] is the term map of image_i ** e; a term's product of
-        # powers is scaled by its coefficient last, so that the products
-        # stay in ints for an integer matrix
-        powers = [[{one: 1}] for _ in images]
+        units = {one[:j] + (1,) + one[j + 1:]: w for j, w in enumerate(weights)}
+        # the constructor cleans each row: zeros dropped, scalars converted
+        images = [{units[u]: c for u, c in MultiPoly(new_arity, dict(zip(units, row)), p).terms.items()}
+                  for row in matrix]
+        # powers[i][e] is the packed term map of image_i ** e; a term's
+        # product of powers is scaled by its coefficient last, so that the
+        # products stay in ints for an integer matrix
+        powers = [[{0: 1}] for _ in images]
         out = {}
         for exps, c in self.terms.items():
-            prod = {one: 1}
+            prod = {0: 1}
             for i, e in enumerate(exps):
                 if e:
                     cache = powers[i]
                     while len(cache) <= e:
-                        cache.append(_mul_terms(cache[-1], images[i]))
-                    prod = _mul_terms(prod, cache[e])
-            for exps2, v in prod.items():
+                        cache.append(_mul_packed(cache[-1], images[i]))
+                    prod = _mul_packed(prod, cache[e])
+            for k, v in prod.items():
                 v = c * v
-                cur = out.get(exps2)
-                out[exps2] = v if cur is None else cur + v
-        return MultiPoly(new_arity, out, p)
+                cur = out.get(k)
+                out[k] = v if cur is None else cur + v
+        unpacked = {tuple([k // w % base for w in weights]): v for k, v in out.items()}
+        return MultiPoly(new_arity, unpacked, p)
 
     # -- normal forms ------------------------------------------------------
 

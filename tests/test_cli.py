@@ -151,12 +151,16 @@ json.dump(results, sys.stdout)
 """
 
 
-def _run_python(flags, argvs):
-    """(exit code, stdout) of cli.run for each argv, in one fresh interpreter."""
+def _subprocess_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _run_python(flags, argvs):
+    """(exit code, stdout) of cli.run for each argv, in one fresh interpreter."""
     proc = subprocess.run([sys.executable] + flags + ["-c", _RUN_ALL], input=json.dumps(argvs),
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=_subprocess_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     return [tuple(result) for result in json.loads(proc.stdout)]
 
@@ -439,6 +443,36 @@ def test_exit_code_of_every_subcommand():
             assert run_cli(argv)[0] == code, argv
 
 
+def test_closed_stdout_exits_141_quietly():
+    # a reader that leaves early (`jpencil exceptional derive | true`) ended
+    # in a BrokenPipeError traceback and exit 1; the pipe here is closed
+    # before the command starts, so every write to it fails
+    with tempfile.TemporaryDirectory() as tmp:
+        form = os.path.join(tmp, "good.form")
+        assert run_cli(["build", "rational", "x0^2*x1 - x2^3", "x0*x1*x2", "--out", form])[0] == 0
+        table = [  # one command of each subcommand group, and a bad input
+            (["invariants", "0,1,0,-1,0"], 141),
+            (["--json", "classify", "t0^3*t1"], 141),
+            (["veronese", "1,2"], 141),
+            (["build", "pullback", "--form", form, "--matrix", "1,0,0,1;0,1,0,-1;0,0,1,2"], 141),
+            (["check", "--form", form], 141),
+            (["exceptional", "derive"], 141),
+            (["probe", "--target", "base-locus", "--prime", "5"], 141),
+            (["probe", "--target", "base-locus", "--prime", "9"], 3),
+        ]
+        for argv, code in table:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = subprocess.run([sys.executable, "-m", "jpencil.cli"] + argv, stdout=write_end,
+                                      stderr=subprocess.PIPE, text=True, env=_subprocess_env(),
+                                      timeout=120)
+            finally:
+                os.close(write_end)
+            assert proc.returncode == code, argv
+            assert proc.stderr == ("" if code == 141 else "error: need a prime p >= 5, got 9\n"), argv
+
+
 def test_probe_prime_is_admitted_before_any_enumeration():
     # --prime 0 is a prime given, not the default primes; a large prime is
     # over the point cap and a large composite fails Miller-Rabin, both at once
@@ -495,6 +529,18 @@ def test_build_pullback():
         code, _, err = run_cli(["build", "pullback", "--form", eta,
                                 "--matrix", "1,0;2,0;3,0"])
         assert code == 3
+
+
+def test_build_pullback_golden(tmp_path, monkeypatch):
+    # the form file is named relative to the working directory, so that
+    # the report's "form:" line does not depend on where the test runs
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["build", "rational", "x0^2*x1 - x2^3", "x0*x1*x2",
+                    "--out", "rational.form"])[0] == 0
+    argv = ["build", "pullback", "--form", "rational.form", "--matrix", "1,0,0,1;0,1,0,-1;0,0,1,2"]
+    plain, as_json = run_cli(argv), run_cli(["--json"] + argv)
+    assert (plain[0], plain[2], as_json[0], as_json[2]) == (0, "", 0, "")
+    assert plain[1] + as_json[1] == golden("cli_build_pullback.txt")
 
 
 def test_negative_fractions_are_values():

@@ -400,6 +400,61 @@ def test_linear_substitute_composes_as_matrices(arities, p, data):
     assert Q == P.linear_substitute(AB)
 
 
+def _linear_substitute_oracle(P, matrix):
+    """MultiPoly.linear_substitute on exponent tuples: every product of
+    monomials builds a fresh tuple."""
+    new_arity = len(matrix[0]) if matrix else 0
+    p = P.p
+    if p is None:
+        p = next((c.p for row in matrix for c in row if isinstance(c, FpElement)), None)
+    one = (0,) * new_arity
+    units = [one[:k] + (1,) + one[k + 1:] for k in range(new_arity)]
+    images = [MultiPoly(new_arity, dict(zip(units, row)), p).terms for row in matrix]
+    powers = [[{one: 1}] for _ in images]
+    out = {}
+    for exps, c in P.terms.items():
+        prod = {one: 1}
+        for i, e in enumerate(exps):
+            if e:
+                cache = powers[i]
+                while len(cache) <= e:
+                    cache.append(poly._mul_terms(cache[-1], images[i]))
+                prod = poly._mul_terms(prod, cache[e])
+        for exps2, v in prod.items():
+            v = c * v
+            cur = out.get(exps2)
+            out[exps2] = v if cur is None else cur + v
+    return MultiPoly(new_arity, out, p)
+
+
+def _exponents(n):
+    """Exponent tuples of length n and total degree at most 9."""
+    def cap(draw):
+        degree, raw = draw
+        exps = []
+        for e in raw:
+            exps.append(min(e, degree - sum(exps)))
+        return tuple(exps)
+    return st.tuples(st.integers(0, 9), st.lists(st.integers(0, 9), min_size=n, max_size=n)).map(cap)
+
+
+_entries = st.one_of(st.just(0), st.integers(-3, 3), _coeffs, st.builds(FpElement, st.integers(0, 6), st.just(7)))
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 4), st.integers(1, 4), st.sampled_from((None, 7)), st.data())
+def test_packed_substitution_equals_the_tuple_oracle(n, m, p, data):
+    # non-homogeneous polynomials up to degree 9, constants and zero; zero
+    # rows, one-column matrices, Fraction and FpElement entries
+    terms = data.draw(st.one_of(
+        st.dictionaries(_exponents(n), _coeffs, max_size=6),
+        st.builds(lambda c: {(0,) * n: c}, _coeffs)))
+    P = MultiPoly(n, terms) if p is None else MultiPoly(n, terms).reduce_mod(p)
+    row = st.lists(_entries, min_size=m, max_size=m)
+    matrix = data.draw(st.lists(st.one_of(st.just([0] * m), row), min_size=n, max_size=n))
+    assert P.linear_substitute(matrix) == _linear_substitute_oracle(P, matrix)
+
+
 @settings(max_examples=40)
 @given(_small_polys, _small_polys, _small_polys, st.sampled_from((None, 7)))
 def test_gcd_divides_and_cofactors_are_coprime(G, A, B, p):
