@@ -4,8 +4,8 @@ Reports are plain "key: value" lines in a stable order, so runs can be
 diffed byte for byte; --json swaps the same content into one JSON
 document.  Exit codes are stable per failure class: 0 all verdicts
 pass, 2 argument errors, 3 precondition failures (bad primes, unusable
-input), 4 certification failures.  Every boolean in a report is a
-verdict, so run returns 4 exactly when a reported value is false.
+input, a form a constructor refuses), 4 certification failures: a false
+verdict (every boolean in a report is one) or a PipelineError.
 
 Binary quartics are entered either as five comma-separated divided
 coordinates (a0,a1,a2,a3,a4) or as a polynomial in t0, t1.  Forms
@@ -183,11 +183,9 @@ def _cmd_veronese(args):
 
 # -- constructors ----------------------------------------------------------
 
-def _certification_items(omega):
-    return [
-        ("descends", descends_check(omega).ok),
-        ("integrable", integrability_check(omega).ok),
-    ]
+# The constructors' own certificate: a form they return descends and is
+# integrable, and one that fails either check is a ValueError (exit 3).
+_CONSTRUCTOR_VERDICTS = [("descends", True), ("integrable", True)]
 
 
 def _cmd_build_rational(args):
@@ -198,7 +196,7 @@ def _cmd_build_rational(args):
     head = [("command", "build rational"),
             ("F1", polytext.poly_to_text(F1, var_names)),
             ("F2", polytext.poly_to_text(F2, var_names))]
-    return _form_report(head, _certification_items(omega), omega, var_names, args.out)
+    return _form_report(head, _CONSTRUCTOR_VERDICTS, omega, var_names, args.out)
 
 
 def _cmd_build_log(args):
@@ -211,7 +209,7 @@ def _cmd_build_log(args):
     head = [("command", "build log"),
             ("factors", len(factors)),
             ("weights", ",".join(str(w) for w in weights))]
-    return _form_report(head, _certification_items(omega), omega, var_names, args.out)
+    return _form_report(head, _CONSTRUCTOR_VERDICTS, omega, var_names, args.out)
 
 
 def _cmd_build_pullback(args):
@@ -223,7 +221,7 @@ def _cmd_build_pullback(args):
             ("form", args.form),
             ("matrixRows", len(matrix)),
             ("matrixCols", len(matrix[0]))]
-    return _form_report(head, _certification_items(omega), omega, new_names, args.out)
+    return _form_report(head, _CONSTRUCTOR_VERDICTS, omega, new_names, args.out)
 
 
 def _cmd_check(args):
@@ -294,11 +292,13 @@ def _cmd_exc_fields(args):
     items.append(("bracketXYisMinusY", bracket_xy == -fields.Y))
     bracket_xr = lie_bracket(fields.X, euler_field(4))
     items.append(("bracketXRisZero", all(c.is_zero for c in bracket_xr.coeffs)))
-    for name, field in (("annihilatesX", fields.X), ("annihilatesY", fields.Y),
-                        ("annihilatesR", euler_field(4))):
+    for name, field in (("annihilatesX", fields.X), ("annihilatesY", fields.Y)):
         contracted = interior_product(field, omega)
         items.append((name, all(c.is_zero for c in contracted.terms.values())))
-    items += _certification_items(omega)
+    # i_R(omega) is the descent residual: one check gives both verdicts
+    descends = descends_check(omega).ok
+    items += [("annihilatesR", descends), ("descends", descends),
+              ("integrable", integrability_check(omega).ok)]
     items.append(("saturationFactor", polytext.poly_to_text(sat.factor, _X_NAMES)))
     return items + form_items(omega, _X_NAMES)
 
@@ -505,7 +505,7 @@ def run(argv=None):
     except (BadPrimeError, PipelineError, WeightError, polytext.PolyParseError,
             ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 3
+        return 4 if isinstance(exc, PipelineError) else 3
     _emit(items, args.json)
     return 4 if any(value is False for _, value in items) else 0
 

@@ -73,9 +73,10 @@ def derive_omega_bar():
     the divisors with a double point at the flag point); factor_exact is
     the exact cofactor with factor_exact * omega_bar == omega_h.
     """
-    omega4 = build_omega4()
-    if not descends_check(omega4).ok or not integrability_check(omega4).ok:
-        raise PipelineError("build", "pencil form failed a residue check")
+    try:
+        omega4 = build_omega4()  # the constructor has certified it
+    except ValueError as exc:
+        raise PipelineError("build", str(exc)) from exc
 
     inclusion = osculating_inclusion()
     omega_h = restrict_to_hyperplane(omega4, inclusion)
@@ -264,15 +265,14 @@ def tangent_system_dim(omega_bar):
     equal to +- an earlier one.
 
     The rows also decide the input: for eta = omega they give
-    2 omega ^ d(omega).  So omega, the primitive integer multiple of
-    omega_bar, descends iff the Euler rows kill its coefficient vector, and
-    is then integrable iff the reduced rows kill its entries on the
-    non-pivot columns; a failure is a ValueError, raised before the rank.
+    2 omega ^ d(omega).  Both checks are linear in the form, so omega_bar
+    descends iff the Euler rows kill its coefficient vector, and is then
+    integrable iff the reduced rows kill its entries on the non-pivot
+    columns; a failure is a ValueError, raised before the rank.
     contains_omega_bar is that input check, so it is always True.
     """
-    omega = normalize_form(omega_bar)[0]
-    euler_rows, integ_rows, mono3 = tangent_system_matrices(omega)
-    vec = _coefficient_vector(omega, mono3)
+    euler_rows, integ_rows, mono3 = tangent_system_matrices(omega_bar)
+    vec = _coefficient_vector(omega_bar, mono3)
     if any(mat_vec(euler_rows, vec)):
         raise ValueError("form does not descend")
     moves = []

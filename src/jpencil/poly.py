@@ -525,16 +525,9 @@ def _content_and_pp(P, v):
         split.setdefault(exps[v], {})[exps[:v] + (0,) + exps[v + 1:]] = c
     # the gcd is the same in any order; the smallest coefficients first
     # reach a constant content soonest
-    coeffs = sorted((MultiPoly(P.arity, t, P.p) for t in split.values()),
-                    key=lambda c: (c.total_degree(), len(c.terms)))
-    content = coeffs[0]
-    for c in coeffs[1:]:
-        content = _gcd_rec(content, c)
-        if content.total_degree() == 0:
-            break
-    content = content.normalized()
-    pp = exact_divide(P, content)
-    return content, pp
+    content = _fold_gcd(sorted((MultiPoly(P.arity, t, P.p) for t in split.values()),
+                               key=lambda c: (c.total_degree(), len(c.terms))))
+    return content, exact_divide(P, content)
 
 
 def _gcd_rec(P, Q):
@@ -575,8 +568,9 @@ def poly_gcd(P, Q):
     """
     if P.is_zero and Q.is_zero:
         raise ValueError("gcd of two zero polynomials")
-    P._ring(Q)
-    return _gcd_rec(P, Q).normalized()
+    p = P._ring(Q)
+    # a rational operand is read in F_p first: the fold may return an input
+    return _fold_gcd([R if R.p == p else R.reduce_mod(p) for R in (P, Q) if not R.is_zero])
 
 
 # Lines for the unit certificate come from a generator with this fixed
@@ -631,14 +625,15 @@ def _unit_line(polys):
 
 
 def _fold_gcd(polys):
-    """The normalized gcd of nonzero polys, folded left to right.  The fold
-    stops at a constant, and once the running gcd divides every input left,
-    which makes it their gcd."""
+    """The normalized gcd of nonzero polys, folded left to right with
+    _gcd_rec and normalized once, at the end.  The fold stops at a
+    constant, and once the running gcd divides every input left, which
+    makes it their gcd."""
     g = polys[0]
     for k in range(1, len(polys)):
         if g.total_degree() == 0 or all(exact_divide(Q, g) is not None for Q in polys[k:]):
             break
-        g = poly_gcd(g, polys[k])
+        g = _gcd_rec(g, polys[k])
     return g.normalized()
 
 

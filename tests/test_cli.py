@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import collections
 import contextlib
 import io
 import json
@@ -442,6 +443,40 @@ def test_exit_code_of_every_subcommand():
         for argv, code in table:
             assert run_cli(argv)[0] == code, argv
 
+
+
+def test_each_command_runs_each_check_once(monkeypatch, tmp_path):
+    # the symbolic descent and integrability checks a command runs, counted
+    # at every binding in the package: a constructor's verdicts are printed,
+    # not checked again, and derive checks the restriction and the
+    # saturated form on top of the pencil form's constructor
+    form = str(tmp_path / "good.form")
+    assert run_cli(["build", "rational", "x0^2*x1 - x2^3", "x0*x1*x2", "--out", form])[0] == 0
+    counts = collections.Counter()
+    for name in ("descends_check", "integrability_check"):
+        check = getattr(sys.modules["jpencil.exterior"], name)
+
+        def counted(omega, check=check, name=name):
+            counts[name] += 1
+            return check(omega)
+
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "jpencil"]:
+            if getattr(module, name, None) is check:
+                monkeypatch.setattr(module, name, counted)
+    table = [
+        (["build", "rational", "x0^2*x1 - x2^3", "x0*x1*x2"], 1, 1),
+        (["build", "log", "--factor", "x0", "--factor", "x1", "--factor", "x2",
+          "--weight", "1", "--weight", "1", "--weight", "-2"], 1, 1),
+        (["build", "pullback", "--form", form, "--matrix", "1,0,0,1;0,1,0,-1;0,0,1,2"], 2, 2),
+        (["check", "--form", form], 1, 1),
+        (["exceptional", "derive"], 2, 3),
+        (["exceptional", "fields"], 1, 1),
+        (["exceptional", "paper-form"], 1, 1),
+    ]
+    for argv, descends, integrable in table:
+        counts.clear()
+        assert run_cli(argv)[0] == 0, argv
+        assert (counts["descends_check"], counts["integrability_check"]) == (descends, integrable), argv
 
 def test_closed_stdout_exits_141_quietly():
     # a reader that leaves early (`jpencil exceptional derive | true`) ended

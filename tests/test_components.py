@@ -1,17 +1,20 @@
 """Certified constructors: both residues vanish exactly, errors are loud."""
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
+from jpencil import cli, components
 from jpencil.components import (
     WeightError,
     build_linear_pullback,
     build_logarithmic,
     build_rational,
 )
-from jpencil.exterior import DiffForm, descends_check, integrability_check
+from jpencil.exterior import DiffForm, descends_check, form_to_text, integrability_check
 from jpencil.poly import MultiPoly, exact_divide
 from jpencil.polytext import parse_poly
 
@@ -142,3 +145,48 @@ def test_constructors_preserve_homogeneity():
     omega = build_rational(F1, F2)
     assert omega.has_homogeneous_coefficients()
     assert omega.coefficient_degrees() == [4]
+
+
+_REFUSALS = {"descends_check": "descends check failed, Euler contraction is nonzero",
+             "integrability_check": "integrability check failed, omega ^ d omega is nonzero"}
+
+
+def test_certify_refusals_fire(monkeypatch, tmp_path):
+    # each check of _certify, forced to fail on the forms of the given
+    # arities: the constructor's ValueError names it, and `jpencil build`
+    # exits 3 with that text and prints no verdict
+    x = [MultiPoly.variable(3, i) for i in range(3)]
+    F1, F2 = x[0] ** 2 * x[1] - x[2] ** 3, x[0] * x[1] * x[2]
+    eta = build_rational(F1, F2)
+    eta_path = str(tmp_path / "eta.form")
+    with open(eta_path, "w", encoding="ascii") as fh:
+        fh.write(form_to_text(eta, ("x0", "x1", "x2")))
+    matrix = [[1, 0, 0, 1], [0, 1, 0, -1], [0, 0, 1, 2]]
+    pullback = (lambda: build_linear_pullback(matrix, eta),
+                ["build", "pullback", "--form", eta_path, "--matrix", "1,0,0,1;0,1,0,-1;0,0,1,2"])
+    cases = [
+        ("rational constructor", (3,), lambda: build_rational(F1, F2),
+         ["build", "rational", "x0^2*x1 - x2^3", "x0*x1*x2"]),
+        ("logarithmic constructor", (3,), lambda: build_logarithmic(x, [1, 1, -2]),
+         ["build", "log", "--factor", "x0", "--factor", "x1", "--factor", "x2",
+          "--weight", "1", "--weight", "1", "--weight", "-2"]),
+        ("pullback input", (3, 4)) + pullback,
+        ("pullback constructor", (4,)) + pullback,
+    ]
+    for name, text in _REFUSALS.items():
+        check = getattr(components, name)
+        for label, arities, build, argv in cases:
+            def failing(omega, check=check, arities=arities):
+                verdict = check(omega)
+                return verdict._replace(ok=False) if omega.arity in arities else verdict
+
+            monkeypatch.setattr(components, name, failing)
+            message = "%s: %s" % (label, text)
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run(argv)
+            assert (code, out.getvalue(), err.getvalue()) == (3, "", "error: %s\n" % message), argv
+            monkeypatch.undo()

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jpencil import cli, exceptional
+from jpencil import cli, components, exceptional
 from jpencil.components import build_rational
 from jpencil.exceptional import (
     PipelineError,
@@ -439,3 +439,57 @@ def test_pipeline_error_carries_stage():
     assert isinstance(err, RuntimeError)
     assert err.stage == "saturate"
     assert "saturate" in str(err)
+
+
+def _failed(check):
+    """check, run as it is, with its verdict turned to a failure."""
+    return lambda omega: check(omega)._replace(ok=False)
+
+
+def _saturated_as(make_form):
+    """saturate, with its form replaced by make_form(form) and its factor
+    left as it is."""
+    def replaced(omega):
+        sat = saturate(omega)
+        return sat._replace(form=make_form(sat.form))
+    return replaced
+
+
+_X4 = [MultiPoly.variable(4, i) for i in range(4)]
+
+# Each refusal of derive_omega_bar: the module and name of the stage before
+# it, what that stage is replaced by, and the stage and message refused.
+_DERIVE_REFUSALS = {
+    "build": (components, "integrability_check", _failed(integrability_check), "build",
+              "rational constructor: integrability check failed, omega ^ d omega is nonzero"),
+    "restriction-vanished": (exceptional, "restrict_to_hyperplane",
+                             lambda omega, inclusion: DiffForm.zero(4, 1),
+                             "restrict", "restriction vanished identically"),
+    "restriction-not-integrable": (
+        exceptional, "restrict_to_hyperplane",
+        lambda omega, inclusion: DiffForm.one_form([_X4[1], -_X4[0], _X4[3], -_X4[2]]),
+        "restrict", "restriction lost integrability"),
+    "degrees": (exceptional, "saturate", _saturated_as(lambda form: form * _X4[0]),
+                "saturate", "saturated coefficients have degrees [4]"),
+    "does-not-descend": (exceptional, "saturate",
+                         _saturated_as(lambda form: _undescending_forms(7013, 1)[0]),
+                         "saturate", "saturated form does not descend"),
+    "not-integrable": (exceptional, "saturate",
+                       _saturated_as(lambda form: _descending_forms(7012, 1)[0]),
+                       "saturate", "saturated form is not integrable"),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(_DERIVE_REFUSALS))
+def test_every_derive_refusal_fires(monkeypatch, refusal):
+    # the library raises the stage's PipelineError, and `exceptional derive`
+    # prints it and exits 4, a failed certificate, with no report
+    module, name, replacement, stage, message = _DERIVE_REFUSALS[refusal]
+    monkeypatch.setattr(module, name, replacement)
+    with pytest.raises(PipelineError) as info:
+        derive_omega_bar()
+    assert (info.value.stage, str(info.value)) == (stage, "stage %r: %s" % (stage, message))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(["exceptional", "derive"])
+    assert (code, out.getvalue(), err.getvalue()) == (4, "", "error: %s\n" % info.value)

@@ -1,5 +1,6 @@
 """Scalar and polynomial kernel: exactness, order, division, gcd."""
 
+import functools
 import itertools
 import random
 import time
@@ -492,6 +493,36 @@ def test_gcd_matches_sympy_up_to_a_scalar(G, A, B, p):
     expected = _sympy_poly(A).gcd(_sympy_poly(B))
     assert _sympy_poly(poly_gcd(A, B)).monic() == expected.monic()
 
+
+
+# a planted factor in x0 and x1 only: where an input holds x2, the main
+# variable of the gcd, its content in x2 is a multiple of that factor
+_x01_polys = st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1), st.just(0)), _coeffs,
+                             min_size=1, max_size=3).map(lambda t: MultiPoly(3, t))
+
+
+@settings(max_examples=30)
+@given(_x01_polys, st.lists(_small_polys, min_size=3, max_size=5), st.sampled_from((None, 7)))
+def test_coefficient_gcd_matches_sympy_through_a_content(G, polys, p):
+    # the fold of _content_and_pp meets a content that is not a constant
+    if p is not None:
+        G, polys = G.reduce_mod(p), [P.reduce_mod(p) for P in polys]
+    assume(G.total_degree() > 0 and any(e[2] for P in polys for e in P.terms))
+    polys = [G * P for P in polys]
+    expected = functools.reduce(lambda a, b: a.gcd(b), map(_sympy_poly, polys))
+    assert _sympy_poly(coefficient_gcd(polys)).monic() == expected.monic()
+
+
+def test_poly_gcd_meets_a_rational_and_a_modular_input_in_fp():
+    # a rational input is read in F_7 in either order, also where the
+    # fold returns it as it is: a zero partner, or a divisor of the other
+    x = [MultiPoly.variable(3, i) for i in range(3)]
+    A = 2 * x[0] + x[1]
+    B = (A * (x[0] + x[2])).reduce_mod(7)
+    expected = MultiPoly(3, {(1, 0, 0): 1, (0, 1, 0): 4}, 7)  # x0 + 4*x1 mod 7
+    for pair in ((A, B), (B, A), (A, MultiPoly.zero(3, 7)), (MultiPoly.zero(3, 7), A)):
+        assert poly_gcd(*pair) == expected, pair
+    assert poly_gcd(x[0] + x[2], B) == (x[0] + x[2]).reduce_mod(7)
 
 # -- the line certificate of a unit coefficient gcd --------------------------
 
