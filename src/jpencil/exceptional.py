@@ -12,7 +12,7 @@ space of the integrability equations at the form is computed exactly.
 from collections import namedtuple
 from fractions import Fraction
 
-from .poly import MultiPoly, exact_divide, grlex_key
+from .poly import MultiPoly, exact_divide, grlex_key, substitute
 from .linalg import bareiss_rank, mat_vec
 from .exterior import (DiffForm, PolyVectorField, descends_check,
                        euler_field, exterior_derivative, integrability_check,
@@ -89,7 +89,7 @@ def derive_omega_bar():
     factor = sat.factor.normalized()
     # the trace of the osculating plane at [1:0]; its functional a4 pulls
     # back to zero exactly when the inclusion lies in the hyperplane
-    pulled = (g.linear_substitute(inclusion) for g in osculating_flag((1, 0)).plane)
+    pulled = substitute(osculating_flag((1, 0)).plane, inclusion)
     trace = [g.normalized() for g in pulled if not g.is_zero]
     if [factor] != trace:
         raise PipelineError("saturate", "divisorial factor %r is not the trace %r of the "

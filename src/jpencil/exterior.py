@@ -10,8 +10,11 @@ gcd.  Values are immutable; operations are pure.
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import combinations
 
-from .poly import SCALARS, MultiPoly, coefficient_gcd, exact_divide, primitive_scale
+from .linalg import bareiss_det
+from .poly import (SCALARS, MultiPoly, coefficient_gcd, exact_divide, primitive_scale, ring_matrix,
+                   substitute)
 from . import polytext
 
 
@@ -314,25 +317,31 @@ def pullback_form(matrix, eta, new_arity=None):
     old coordinates z_i = sum_j matrix[i][j] y_j.
 
     matrix has one row per old variable (eta's arity) and one column per new
-    variable; new_arity, when given, must be that column count.
-    Coefficients are composed with the map and each dz_i is replaced by
-    sum_j matrix[i][j] dy_j.
+    variable; new_arity, when given, must be that column count.  By
+    Cauchy-Binet, dz_I pulls back to sum_J det(matrix[I, J]) dy_J, the
+    minor on rows I and columns J, so the coefficient of dy_J is
+    sum_I det(matrix[I, J]) * (a_I o matrix): one substitution of all the
+    coefficients a_I, mixed by the minors.  A form whose coefficients mix
+    Q and F_p is read in F_p, as is a form under a matrix with FpElement
+    entries.
     """
     if len(matrix) != eta.arity:
         raise ValueError("matrix has %d rows for a form of arity %d" % (len(matrix), eta.arity))
     cols = len(matrix[0]) if matrix else 0
     if new_arity is not None and new_arity != cols:
         raise ValueError("new_arity %d, but the matrix has %d columns" % (new_arity, cols))
-    basis_images = [
-        DiffForm(cols, 1, {(j,): MultiPoly.constant(cols, row[j]) for j in range(cols)})
-        for row in matrix]
-    result = DiffForm.zero(cols, eta.degree)
-    for idx, coeff in eta.terms.items():
-        pulled = DiffForm.zero_form(coeff.linear_substitute(matrix))
-        for i in idx:
-            pulled = wedge(pulled, basis_images[i])
-        result = result + pulled
-    return result
+    targets = list(combinations(range(cols), eta.degree))
+    if not eta.terms or not targets:
+        return DiffForm.zero(cols, eta.degree)
+    p, entries = ring_matrix(matrix, next((c.p for c in eta.terms.values() if c.p is not None), None))
+    coeffs = [c if c.p == p else c.reduce_mod(p) for c in eta.terms.values()]
+    if eta.degree:
+        # the minors as the ring stores them: an integral one as an int
+        _, mixing = ring_matrix([[bareiss_det([[entries[i][j] for j in J] for i in I]) for I in eta.terms]
+                                 for J in targets], p)
+    else:
+        mixing = None
+    return DiffForm(cols, eta.degree, dict(zip(targets, substitute(coeffs, entries, mixing))))
 
 
 # -- 1-form file format ----------------------------------------------------

@@ -169,6 +169,14 @@ def _mul_packed(a, b):
     return out
 
 
+def _add_scaled(out, c, terms):
+    """Add c times the term map terms into the term map out."""
+    for k, v in terms.items():
+        v = c * v
+        cur = out.get(k)
+        out[k] = v if cur is None else cur + v
+
+
 def grlex_key(exps):
     # Graded lex: compare by total degree, then plain tuple order, under which
     # a larger exponent of an earlier variable wins.  max() over keys gives the
@@ -377,48 +385,8 @@ class MultiPoly:
     def linear_substitute(self, matrix):
         """Compose with a linear map: one matrix row per old variable, one
         column per new variable; old_i maps to sum_j matrix[i][j] * new_j.
-
-        The products are taken on packed monomials: new variable j is the
-        digit of weight base ** (m - 1 - j), m new variables, with base one
-        more than the total degree, so that no exponent of a product carries
-        into the next digit and multiplying two monomials adds two ints.
-        The keys are unpacked to exponent tuples once, for the result.
-        """
-        if len(matrix) != self.arity:
-            raise ValueError("matrix has %d rows, arity is %d" % (len(matrix), self.arity))
-        new_arity = len(matrix[0]) if matrix else 0
-        for row in matrix:
-            if len(row) != new_arity:
-                raise ValueError("ragged substitution matrix")
-        p = self.p
-        if p is None:  # an FpElement entry brings its prime, as in __mul__
-            p = next((c.p for row in matrix for c in row if isinstance(c, FpElement)), None)
-        base = max(self.total_degree(), 0) + 1
-        weights = [base ** (new_arity - 1 - j) for j in range(new_arity)]
-        one = (0,) * new_arity
-        units = {one[:j] + (1,) + one[j + 1:]: w for j, w in enumerate(weights)}
-        # the constructor cleans each row: zeros dropped, scalars converted
-        images = [{units[u]: c for u, c in MultiPoly(new_arity, dict(zip(units, row)), p).terms.items()}
-                  for row in matrix]
-        # powers[i][e] is the packed term map of image_i ** e; a term's
-        # product of powers is scaled by its coefficient last, so that the
-        # products stay in ints for an integer matrix
-        powers = [[{0: 1}] for _ in images]
-        out = {}
-        for exps, c in self.terms.items():
-            prod = {0: 1}
-            for i, e in enumerate(exps):
-                if e:
-                    cache = powers[i]
-                    while len(cache) <= e:
-                        cache.append(_mul_packed(cache[-1], images[i]))
-                    prod = _mul_packed(prod, cache[e])
-            for k, v in prod.items():
-                v = c * v
-                cur = out.get(k)
-                out[k] = v if cur is None else cur + v
-        unpacked = {tuple([k // w % base for w in weights]): v for k, v in out.items()}
-        return MultiPoly(new_arity, unpacked, p)
+        See substitute."""
+        return substitute([self], matrix)[0]
 
     # -- normal forms ------------------------------------------------------
 
@@ -444,6 +412,103 @@ class MultiPoly:
         if self.p is not None and self.p != p:
             raise ValueError("modulus mismatch: %d vs %d" % (p, self.p))
         return MultiPoly(self.arity, self.terms, p)
+
+
+# -- linear substitution ---------------------------------------------------
+
+def ring_matrix(matrix, p=None):
+    """The ring a matrix acts over and its entries as stored there.
+
+    The prime is p, else that of an FpElement entry, else None for Q, as a
+    polynomial's product with an FpElement takes its prime.  Each entry is
+    stored as the MultiPoly constructor stores a coefficient (an int in
+    [0, p) over F_p; over Q an int when integral, else a Fraction), with
+    the same errors."""
+    if p is None:
+        p = next((c.p for row in matrix for c in row if isinstance(c, FpElement)), None)
+    return p, [[MultiPoly(0, {(): c}, p).terms.get((), 0) for c in row] for row in matrix]
+
+
+def substitute(polys, matrix, mixing=None):
+    """Compose each of polys, nonempty and over one ring and one arity,
+    with a linear map: one matrix row per old variable, one column per new
+    variable; old_i maps to sum_j matrix[i][j] * new_j.  Returns one
+    polynomial per input; with mixing, rows of ints or Fractions of one
+    entry per input, one polynomial per row instead: the sum over k of
+    row[k] * (polys[k] o matrix).  The ring is the inputs', or that of an
+    FpElement entry (ring_matrix).
+
+    The products are taken on packed monomials: new variable j is the
+    digit of weight base ** (m - 1 - j), m new variables, with base one
+    more than the largest total degree, so that no exponent of a product
+    carries into the next digit and multiplying two monomials adds two
+    ints.  Each variable's power table is built once for all inputs, and
+    the monomials of all inputs are walked in sorted order, each reusing
+    the prefix product image_0^e_0 ... image_i^e_i of the one before it.
+    The keys are unpacked to exponent tuples once per result.
+    """
+    polys = list(polys)
+    if not polys:
+        raise ValueError("substitute needs at least one polynomial")
+    arity, p = polys[0].arity, polys[0].p
+    if any(P.arity != arity for P in polys):
+        raise ValueError("substitute needs polynomials of one arity, got %r"
+                         % sorted({P.arity for P in polys}))
+    if any(P.p != p for P in polys):
+        raise ValueError("substitute needs polynomials over one ring, got %s"
+                         % " and ".join(sorted({"Q" if P.p is None else "F_%d" % P.p for P in polys})))
+    if len(matrix) != arity:
+        raise ValueError("matrix has %d rows, arity is %d" % (len(matrix), arity))
+    new_arity = len(matrix[0]) if matrix else 0
+    for row in matrix:
+        if len(row) != new_arity:
+            raise ValueError("ragged substitution matrix")
+    if mixing is not None and any(len(row) != len(polys) for row in mixing):
+        raise ValueError("a mixing row needs one scalar per polynomial")
+    p, rows = ring_matrix(matrix, p)
+    base = max(max(P.total_degree() for P in polys), 0) + 1
+    weights = [base ** (new_arity - 1 - j) for j in range(new_arity)]
+    images = [{w: c for w, c in zip(weights, row) if c} for row in rows]
+    # the coefficients of every input on each monomial
+    owners = {}
+    for k, P in enumerate(polys):
+        for exps, c in P.terms.items():
+            owners.setdefault(exps, []).append((k, c))
+    # powers[i][e] is the packed term map of image_i ** e and prefix[i + 1]
+    # that of image_0^e_0 ... image_i^e_i for the monomial last walked; a
+    # monomial's image is scaled by each coefficient last, so that the
+    # products stay in ints for an integer matrix
+    one = {0: 1}
+    powers = [[one] for _ in images]
+    prefix = [one] * (arity + 1)
+    last = None
+    accs = [{} for _ in polys]
+    for exps in sorted(owners):
+        i = 0
+        if last is not None:
+            while exps[i] == last[i]:
+                i += 1
+        last = exps
+        for i in range(i, arity):
+            e = exps[i]
+            if e:
+                cache = powers[i]
+                while len(cache) <= e:
+                    cache.append(_mul_packed(cache[-1], images[i]))
+                prefix[i + 1] = cache[e] if prefix[i] is one else _mul_packed(prefix[i], cache[e])
+            else:
+                prefix[i + 1] = prefix[i]
+        for k, c in owners[exps]:
+            _add_scaled(accs[k], c, prefix[arity])
+    if mixing is not None:
+        mixed = [{} for _ in mixing]
+        for out, row in zip(mixed, mixing):
+            for m, acc in zip(row, accs):
+                if m:
+                    _add_scaled(out, m, acc)
+        accs = mixed
+    return [MultiPoly(new_arity, {tuple([k // w % base for w in weights]): v for k, v in acc.items()}, p)
+            for acc in accs]
 
 
 # -- division and gcd ------------------------------------------------------
@@ -618,7 +683,7 @@ def _unit_line(polys):
         # P(s*u + t*v), homogeneous in (s, t), read at s = 1
         matrix = [[a, b] for a, b in zip(u, v)]
         restricted = [MultiPoly(1, {(e[1],): c for e, c in R.terms.items()}, p)
-                      for P in polys if not (R := P.linear_substitute(matrix)).is_zero]
+                      for R in substitute(polys, matrix) if not R.is_zero]
         if _fold_gcd(restricted).total_degree() == 0:
             return u, v
     return None

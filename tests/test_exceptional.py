@@ -6,6 +6,7 @@ import io
 import itertools
 import os
 import random
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jpencil import cli, components, exceptional
+from jpencil import cli, components, exceptional, exterior, poly
+from jpencil.binary import osculating_flag
 from jpencil.components import build_rational
 from jpencil.exceptional import (
     PipelineError,
@@ -98,6 +100,55 @@ def test_factor_is_the_trace_of_the_osculating_plane(monkeypatch):
         derive_omega_bar()
     assert info.value.stage == "saturate"
     assert "osculating plane" in str(info.value)
+
+
+def _recorded(monkeypatch, module, name):
+    """The argument tuples of every later call of module.name (a module or
+    a class), recorded there and at every other binding of it in the
+    package."""
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    for m in [module] + [m for key, m in sys.modules.items() if key.split(".")[0] == "jpencil"]:
+        if getattr(m, name, None) is original:
+            monkeypatch.setattr(m, name, recording)
+    return calls
+
+
+def test_each_pullback_substitutes_once(monkeypatch):
+    # a restriction is one substitution of all coefficients and no wedge, a
+    # line drawn for the unit certificate one substitution of all inputs,
+    # and derive substitutes both functionals of the osculating plane in
+    # one call
+    omega4 = build_omega4()
+    substituted = _recorded(monkeypatch, poly, "substitute")
+    wedged = _recorded(monkeypatch, exterior, "wedge")
+    draws = _recorded(monkeypatch, poly.MultiPoly, "evaluate")
+    dense = [[1, 2, -1, 3], [2, -1, 1, 1], [-1, 1, 2, -2], [3, 1, -2, 1], [1, -3, 1, 2]]
+    for inclusion in (osculating_inclusion(), dense):
+        substituted.clear()
+        restricted = restrict_to_hyperplane(omega4, inclusion)
+        assert len(substituted) == 1 and not wedged
+        assert len(substituted[0][0]) == len(omega4.terms)
+    reduced = [P.reduce_mod(7) for P in restricted.coefficients()]
+    L = MultiPoly.variable(4, 0).reduce_mod(7) + MultiPoly.variable(4, 3)
+    for inputs, unit in ((reduced, True), ([L * P for P in reduced], False)):
+        substituted.clear()
+        draws.clear()
+        assert (poly._unit_line(inputs) is not None) == unit
+        assert 1 <= len(substituted) <= len(draws) <= poly._LINES_FP
+        assert unit or len(draws) == poly._LINES_FP
+        assert all(call[0] == inputs for call in substituted)
+    substituted.clear()
+    derive_omega_bar()
+    plane = list(osculating_flag((1, 0)).plane)
+    assert len(plane) == 2
+    assert [list(call[0]) for call in substituted].count(plane) == 1
+    assert not any(g in call[0] for call in substituted if len(call[0]) == 1 for g in plane)
 
 
 def test_reference_form_frozen():

@@ -257,6 +257,84 @@ def test_pullback_composition(drawn):
     assert once == pullback_form(composed, eta, 5)
 
 
+def _pullback_oracle(matrix, eta, new_arity=None):
+    """pullback_form by wedges: each coefficient substituted on its own,
+    then wedged with the pulled-back dz_i one at a time."""
+    if len(matrix) != eta.arity:
+        raise ValueError("matrix has %d rows for a form of arity %d" % (len(matrix), eta.arity))
+    cols = len(matrix[0]) if matrix else 0
+    if new_arity is not None and new_arity != cols:
+        raise ValueError("new_arity %d, but the matrix has %d columns" % (new_arity, cols))
+    basis_images = [
+        DiffForm(cols, 1, {(j,): MultiPoly.constant(cols, row[j]) for j in range(cols)})
+        for row in matrix]
+    result = DiffForm.zero(cols, eta.degree)
+    for idx, coeff in eta.terms.items():
+        pulled = DiffForm.zero_form(coeff.linear_substitute(matrix))
+        for i in idx:
+            pulled = wedge(pulled, basis_images[i])
+        result = result + pulled
+    return result
+
+
+@st.composite
+def _pullback_cases(draw):
+    """A k-form, k in 0..3, on 3-5 variables over Q or F_7, and a matrix to
+    1-6 columns with Fraction entries: a product through an inner dimension
+    of 1-6, so that some are rank deficient, with rows and columns zeroed."""
+    p = draw(st.sampled_from((None, 7)))
+    n, k, m = draw(st.integers(3, 5)), draw(st.integers(0, 3)), draw(st.integers(1, 6))
+    r = draw(st.integers(1, 6))
+    entry = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+    A = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=n, max_size=n))
+    B = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=r, max_size=r))
+    zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, m - 1), max_size=2))
+    matrix = [[0 if i in zero_rows or j in zero_cols else sum(A[i][l] * B[l][j] for l in range(r))
+               for j in range(m)] for i in range(n)]
+    indices = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), k))), max_size=4))
+    eta = DiffForm(n, k, {idx: draw(_polys(p, 2, n)) for idx in indices})
+    return matrix, eta
+
+
+@settings(max_examples=120)
+@given(_pullback_cases())
+def test_pullback_equals_the_wedge_oracle(case):
+    # Cauchy-Binet against wedges, over Q and F_7; a form of degree above
+    # the column count is refused by both
+    matrix, eta = case
+    if eta.degree > len(matrix[0]):
+        for pull in (pullback_form, _pullback_oracle):
+            with pytest.raises(ValueError, match="form degree"):
+                pull(matrix, eta)
+        return
+    pulled = pullback_form(matrix, eta)
+    assert pulled == _pullback_oracle(matrix, eta)
+    _assert_no_zero_terms(pulled)
+
+
+def test_pullback_keeps_the_prime_of_its_input():
+    # a matrix with FpElement entries pulls a form over Q back over F_7, and
+    # a form with coefficients over Q and F_7 pulls back into F_7
+    rng = random.Random(4011)
+    x = [MultiPoly.variable(3, i) for i in range(3)]
+    for _ in range(5):
+        eta = _rand_one_form(rng, 3, 2)
+        if eta.is_zero:
+            continue
+        matrix = [[_f7(rng.randint(1, 6)) for _ in range(4)] for _ in range(3)]
+        pulled = pullback_form(matrix, eta)
+        assert pulled == _pullback_oracle(matrix, eta)
+        assert {c.p for c in pulled.terms.values()} == {7}
+    mixed = DiffForm.one_form([x[0] * x[1] + x[2] * x[2] * Fraction(1, 2), (x[1] - x[2]).reduce_mod(7),
+                               x[0] * Fraction(3)])
+    dense = [[Fraction(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(4)] for _ in range(3)]
+    for eta in (mixed, wedge(mixed, DiffForm.one_form(x))):
+        pulled = pullback_form(dense, eta)
+        assert pulled == _pullback_oracle(dense, eta)
+        assert not pulled.is_zero and {c.p for c in pulled.terms.values()} == {7}
+
+
 def test_pullback_new_arity_is_the_column_count():
     rng = random.Random(4010)
     eta = _rand_one_form(rng, 3, 2)

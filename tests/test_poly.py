@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jpencil import poly
@@ -454,6 +454,53 @@ def test_packed_substitution_equals_the_tuple_oracle(n, m, p, data):
     row = st.lists(_entries, min_size=m, max_size=m)
     matrix = data.draw(st.lists(st.one_of(st.just([0] * m), row), min_size=n, max_size=n))
     assert P.linear_substitute(matrix) == _linear_substitute_oracle(P, matrix)
+
+
+@st.composite
+def _substitution_lists(draw):
+    """1-4 polynomials in n variables over one ring, each of its own total
+    degree up to 9 (the zero polynomial among them), a matrix to m
+    variables as in the law above, and mixing rows or None."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    p = draw(st.sampled_from((None, 7)))
+    polys = [MultiPoly(n, terms) if p is None else MultiPoly(n, terms).reduce_mod(p)
+             for terms in draw(st.lists(st.dictionaries(_exponents(n), _coeffs, max_size=5),
+                                        min_size=1, max_size=4))]
+    row = st.lists(_entries, min_size=m, max_size=m)
+    matrix = draw(st.lists(st.one_of(st.just([0] * m), row), min_size=n, max_size=n))
+    scalars = st.lists(st.one_of(st.integers(-3, 3), _coeffs), min_size=len(polys), max_size=len(polys))
+    mixing = draw(st.one_of(st.none(), st.lists(scalars, min_size=1, max_size=3)))
+    return polys, matrix, mixing
+
+
+@settings(max_examples=150)
+@given(_substitution_lists())
+@example(([MultiPoly.variable(2, 0), MultiPoly.variable(2, 1) ** 5], [[1, 1], [1, 2]], None))
+def test_substitute_on_a_list_equals_the_oracle_on_each(case):
+    # one pass over all inputs; its packing base is read from the largest
+    # total degree, which the first input need not have
+    polys, matrix, mixing = case
+    images = [_linear_substitute_oracle(P, matrix) for P in polys]
+    if mixing is None:
+        expected = images
+    else:
+        zero = MultiPoly.zero(len(matrix[0]), images[0].p)
+        expected = [sum((P * c for P, c in zip(images, row)), zero) for row in mixing]
+    assert poly.substitute(polys, matrix, mixing) == expected
+
+
+def test_substitute_refusals():
+    x = MultiPoly.variable(2, 0)
+    with pytest.raises(ValueError, match="substitute needs at least one polynomial"):
+        poly.substitute([], [[1], [1]])
+    with pytest.raises(ValueError, match=r"substitute needs polynomials of one arity, got \[2, 3\]"):
+        poly.substitute([x, MultiPoly.variable(3, 0)], [[1], [1]])
+    with pytest.raises(ValueError, match="a mixing row needs one scalar per polynomial"):
+        poly.substitute([x, x], [[1], [1]], [[1]])
+    with pytest.raises(ValueError, match="substitute needs polynomials over one ring, got F_7 and Q"):
+        poly.substitute([x, x.reduce_mod(7)], [[1], [1]])
+    with pytest.raises(ValueError, match="substitute needs polynomials over one ring, got F_5 and F_7"):
+        poly.substitute([x.reduce_mod(5), x.reduce_mod(7)], [[1], [1]])
 
 
 @settings(max_examples=40)
