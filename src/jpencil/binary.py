@@ -21,7 +21,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
-from .poly import MultiPoly, poly_gcd, primitive_scale
+from .poly import MultiPoly, coefficient_gcd, primitive_scale
 from .linalg import bareiss_det
 
 
@@ -137,7 +137,7 @@ def root_pattern(F):
         g = f
         while g.total_degree() > 0:
             survivors.append(g.total_degree())
-            g = poly_gcd(g, g.partial_derivative(0))
+            g = coefficient_gcd([g, g.partial_derivative(0)])
         survivors.append(0)
         drops = [a - b for a, b in zip(survivors, survivors[1:])]
         for k, (hi, lo) in enumerate(zip(drops, drops[1:] + [0]), start=1):
@@ -160,9 +160,14 @@ def _invariants_from(a):
     return InvariantTriple(q, c, d)
 
 
+def require_quartic(degree):
+    """Refuse any degree but 4, as invariants_qcd does, before any work."""
+    if degree != 4:
+        raise ValueError("invariants are defined for quartics, got degree %d" % degree)
+
+
 def invariants_qcd(F):
-    if F.degree != 4:
-        raise ValueError("invariants are defined for quartics, got degree %d" % F.degree)
+    require_quartic(F.degree)
     return _invariants_from(F.coeffs)
 
 

@@ -109,6 +109,7 @@ def _parse_quartic(text):
         coords = [_parse_fraction(part) for part in text.split(",")]
         return binary.BinaryForm(coords)
     P = polytext.parse_poly(text, ("t0", "t1"))
+    binary.require_quartic(P.homogeneous_degree())  # before from_poly builds r + 1 binomials
     return binary.BinaryForm.from_poly(P)
 
 

@@ -320,7 +320,7 @@ def check_double_tangency():
     and a3^3 does not divide: the intersection multiplicity is exactly two.
     """
     D = invariant_polys().D
-    D_H = D.linear_substitute(osculating_inclusion())
+    D_H = substitute([D], osculating_inclusion())[0]
     a = [MultiPoly.variable(4, i) for i in range(4)]
     delta3 = cubic_discriminant_plain(a[0], 4 * a[1], 6 * a[2], 4 * a[3]) * Fraction(1, 256)
     reference_point = (Fraction(0), Fraction(1), Fraction(0), Fraction(-1))

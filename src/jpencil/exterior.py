@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import bareiss_det
-from .poly import (SCALARS, MultiPoly, coefficient_gcd, exact_divide, primitive_scale, ring_matrix,
-                   substitute)
+from .poly import (SCALARS, MultiPoly, coefficient_gcd, exact_divide, one_ring, primitive_scale,
+                   ring_matrix, substitute)
 from . import polytext
 
 
@@ -321,9 +321,8 @@ def pullback_form(matrix, eta, new_arity=None):
     Cauchy-Binet, dz_I pulls back to sum_J det(matrix[I, J]) dy_J, the
     minor on rows I and columns J, so the coefficient of dy_J is
     sum_I det(matrix[I, J]) * (a_I o matrix): one substitution of all the
-    coefficients a_I, mixed by the minors.  A form whose coefficients mix
-    Q and F_p is read in F_p, as is a form under a matrix with FpElement
-    entries.
+    coefficients a_I, mixed by the minors.  The coefficients are read in
+    one ring (poly.one_ring), and the matrix and its minors act over it.
     """
     if len(matrix) != eta.arity:
         raise ValueError("matrix has %d rows for a form of arity %d" % (len(matrix), eta.arity))
@@ -333,14 +332,11 @@ def pullback_form(matrix, eta, new_arity=None):
     targets = list(combinations(range(cols), eta.degree))
     if not eta.terms or not targets:
         return DiffForm.zero(cols, eta.degree)
-    p, entries = ring_matrix(matrix, next((c.p for c in eta.terms.values() if c.p is not None), None))
-    coeffs = [c if c.p == p else c.reduce_mod(p) for c in eta.terms.values()]
-    if eta.degree:
-        # the minors as the ring stores them: an integral one as an int
-        _, mixing = ring_matrix([[bareiss_det([[entries[i][j] for j in J] for i in I]) for I in eta.terms]
-                                 for J in targets], p)
-    else:
-        mixing = None
+    p, coeffs = one_ring(eta.terms.values())
+    entries = ring_matrix(matrix, p)
+    # the minors as the ring stores them: an integral one as an int
+    mixing = ring_matrix([[bareiss_det([[entries[i][j] for j in J] for i in I]) for I in eta.terms]
+                          for J in targets], p) if eta.degree else None
     return DiffForm(cols, eta.degree, dict(zip(targets, substitute(coeffs, entries, mixing))))
 
 

@@ -6,8 +6,14 @@ There is no floating point anywhere in this package.  A polynomial owns
 its domain: MultiPoly.p is None over Q and the prime over F_p.  Its
 constructor owns the scalar format: over Q an integral coefficient is an
 int and any other a Fraction, over F_p every coefficient is an int in
-[0, p).  FpElement is only an input type, which brings its prime to the
-polynomial it enters; to_fp is the one reduction of a scalar into F_p.
+[0, p); to_fp is the one reduction of a scalar into F_p.
+
+The ring rule: polynomials that meet (in +, *, division, gcd or
+substitution) meet in F_p when one is over F_p, a rational one read there
+by reduce_mod, and two primes are a ValueError; one_ring is the rule for a
+list, MultiPoly._ring for two operands, and a matrix acts over its
+polynomials' ring.  F_p enters only through the MultiPoly constructor:
+its p, or FpElements as term-map values with p omitted, which bring theirs.
 
 Polynomials are sparse maps from exponent tuples to nonzero scalars, with a
 single global monomial order: graded lexicographic, total degree first, ties
@@ -75,7 +81,8 @@ def check_prime(p):
 
 
 class FpElement:
-    """An element of F_p, as input to a polynomial; it does no arithmetic."""
+    """An element of F_p, only as a term-map value or constant passed to
+    the MultiPoly constructor with p omitted; it does no arithmetic."""
 
     __slots__ = ("p", "v")
 
@@ -84,21 +91,8 @@ class FpElement:
         self.p = p
         self.v = v % p
 
-    def __eq__(self, other):
-        # an int or a Fraction is never equal to an element of F_p, so
-        # that equal values always hash equal
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.v == other.v
-        return NotImplemented
 
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __repr__(self):
-        return str(self.v)
-
-
-SCALARS = (int, Fraction, FpElement)
+SCALARS = (int, Fraction)
 
 
 def to_fp(c, p):
@@ -186,7 +180,8 @@ def grlex_key(exps):
 
 class MultiPoly:
     """Sparse multivariate polynomial: arity plus {exponent tuple: scalar},
-    over Q (p None) or over F_p (coefficients ints in [0, p)).
+    over Q (p None) or over F_p (coefficients ints in [0, p)).  Operands
+    meet in one ring by the module's rule (_ring).
 
     Values are immutable by convention; every operation returns a fresh
     polynomial and never mutates its arguments, so instances can be shared
@@ -328,8 +323,7 @@ class MultiPoly:
             p = self._ring(other)
             return MultiPoly(self.arity, _mul_terms(self.terms, other.terms), p)
         if isinstance(other, SCALARS):
-            # an FpElement brings its prime; to_fp rejects another one
-            p = self.p or (other.p if isinstance(other, FpElement) else None)
+            p = self.p
             if p is not None:
                 other = to_fp(other, p)
             return MultiPoly(self.arity, {e: c * other for e, c in self.terms.items()}, p)
@@ -382,12 +376,6 @@ class MultiPoly:
             acc = acc + term
         return acc if p is None else acc % p
 
-    def linear_substitute(self, matrix):
-        """Compose with a linear map: one matrix row per old variable, one
-        column per new variable; old_i maps to sum_j matrix[i][j] * new_j.
-        See substitute."""
-        return substitute([self], matrix)[0]
-
     # -- normal forms ------------------------------------------------------
 
     def normalization_scale(self):
@@ -414,29 +402,35 @@ class MultiPoly:
         return MultiPoly(self.arity, self.terms, p)
 
 
+def one_ring(polys):
+    """The ring rule for a list: (p, polys read there), with p the prime
+    they meet in, None for Q.  Two arities or two primes are a ValueError."""
+    polys = list(polys)
+    arities, primes = {P.arity for P in polys}, {P.p for P in polys} - {None}
+    if len(arities) > 1 or len(primes) > 1:
+        raise ValueError("no one ring for arities %s and primes %s" % (sorted(arities), sorted(primes)))
+    p = primes.pop() if primes else None
+    return p, [P if P.p == p else P.reduce_mod(p) for P in polys]
+
+
 # -- linear substitution ---------------------------------------------------
 
-def ring_matrix(matrix, p=None):
-    """The ring a matrix acts over and its entries as stored there.
-
-    The prime is p, else that of an FpElement entry, else None for Q, as a
-    polynomial's product with an FpElement takes its prime.  Each entry is
-    stored as the MultiPoly constructor stores a coefficient (an int in
-    [0, p) over F_p; over Q an int when integral, else a Fraction), with
-    the same errors."""
-    if p is None:
-        p = next((c.p for row in matrix for c in row if isinstance(c, FpElement)), None)
-    return p, [[MultiPoly(0, {(): c}, p).terms.get((), 0) for c in row] for row in matrix]
+def ring_matrix(matrix, p):
+    """The entries of a matrix, ints and Fractions (SCALARS; else a
+    TypeError), as the ring of prime p (None for Q) stores a coefficient."""
+    if not all(isinstance(c, SCALARS) for row in matrix for c in row):
+        raise TypeError("matrix entries are ints or Fractions")
+    return [[MultiPoly(0, {(): c}, p).terms.get((), 0) for c in row] for row in matrix]
 
 
 def substitute(polys, matrix, mixing=None):
-    """Compose each of polys, nonempty and over one ring and one arity,
-    with a linear map: one matrix row per old variable, one column per new
+    """Compose each of polys, nonempty, read in one ring (one_ring), with a
+    linear map: one matrix row per old variable, one column per new
     variable; old_i maps to sum_j matrix[i][j] * new_j.  Returns one
     polynomial per input; with mixing, rows of ints or Fractions of one
     entry per input, one polynomial per row instead: the sum over k of
-    row[k] * (polys[k] o matrix).  The ring is the inputs', or that of an
-    FpElement entry (ring_matrix).
+    row[k] * (polys[k] o matrix).  The matrix acts over the polynomials'
+    ring (ring_matrix).
 
     The products are taken on packed monomials: new variable j is the
     digit of weight base ** (m - 1 - j), m new variables, with base one
@@ -447,16 +441,10 @@ def substitute(polys, matrix, mixing=None):
     the prefix product image_0^e_0 ... image_i^e_i of the one before it.
     The keys are unpacked to exponent tuples once per result.
     """
-    polys = list(polys)
+    p, polys = one_ring(polys)
     if not polys:
         raise ValueError("substitute needs at least one polynomial")
-    arity, p = polys[0].arity, polys[0].p
-    if any(P.arity != arity for P in polys):
-        raise ValueError("substitute needs polynomials of one arity, got %r"
-                         % sorted({P.arity for P in polys}))
-    if any(P.p != p for P in polys):
-        raise ValueError("substitute needs polynomials over one ring, got %s"
-                         % " and ".join(sorted({"Q" if P.p is None else "F_%d" % P.p for P in polys})))
+    arity = polys[0].arity
     if len(matrix) != arity:
         raise ValueError("matrix has %d rows, arity is %d" % (len(matrix), arity))
     new_arity = len(matrix[0]) if matrix else 0
@@ -465,7 +453,7 @@ def substitute(polys, matrix, mixing=None):
             raise ValueError("ragged substitution matrix")
     if mixing is not None and any(len(row) != len(polys) for row in mixing):
         raise ValueError("a mixing row needs one scalar per polynomial")
-    p, rows = ring_matrix(matrix, p)
+    rows = ring_matrix(matrix, p)
     base = max(max(P.total_degree() for P in polys), 0) + 1
     weights = [base ** (new_arity - 1 - j) for j in range(new_arity)]
     images = [{w: c for w, c in zip(weights, row) if c} for row in rows]
@@ -521,11 +509,7 @@ def exact_divide(P, F):
     """
     if F.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    p = P._ring(F)
-    if P.is_zero:
-        return MultiPoly.zero(P.arity, p)
-    if P.p != F.p:
-        P, F = P.reduce_mod(p), F.reduce_mod(p)
+    p, (P, F) = one_ring((P, F))
     f_lead = max(F.terms, key=grlex_key)
     f_lc = F.terms[f_lead]
     f_inv = Fraction(1, f_lc) if p is None else pow(f_lc, -1, p)
@@ -551,6 +535,8 @@ def exact_divide(P, F):
             elif cur is not None:
                 del rem[tgt]
     return MultiPoly(P.arity, quotient, p)
+
+
 def _degree_in(P, v):
     if not P.terms:
         return -1
@@ -592,7 +578,8 @@ def _content_and_pp(P, v):
     # reach a constant content soonest
     content = _fold_gcd(sorted((MultiPoly(P.arity, t, P.p) for t in split.values()),
                                key=lambda c: (c.total_degree(), len(c.terms))))
-    return content, exact_divide(P, content)
+    # a normalized constant content is 1, and P is its own primitive part
+    return content, P if content.total_degree() == 0 else exact_divide(P, content)
 
 
 def _gcd_rec(P, Q):
@@ -623,19 +610,6 @@ def _gcd_rec(P, Q):
         A, B = B, Rpp
     # A is ppP, ppQ or some Rpp, so it is already primitive in main
     return cont * A
-
-
-def poly_gcd(P, Q):
-    """A gcd in the primitive-PRS sense, in canonical normalized form.
-
-    exact_divide(P, gcd) and exact_divide(Q, gcd) always succeed, and the
-    quotients have no further common factor.
-    """
-    if P.is_zero and Q.is_zero:
-        raise ValueError("gcd of two zero polynomials")
-    p = P._ring(Q)
-    # a rational operand is read in F_p first: the fold may return an input
-    return _fold_gcd([R if R.p == p else R.reduce_mod(p) for R in (P, Q) if not R.is_zero])
 
 
 # Lines for the unit certificate come from a generator with this fixed
@@ -703,20 +677,19 @@ def _fold_gcd(polys):
 
 
 def coefficient_gcd(polys):
-    """Iterated gcd of a list of polynomials, at least one nonzero.
+    """The normalized gcd of a list of polynomials, at least one nonzero,
+    read in one ring (one_ring): exact_divide by it succeeds on every
+    input, and the quotients have no further common factor.
 
-    Homogeneous inputs in three or more variables over one ring are first
-    tried on lines (_unit_line), which certify a unit gcd at the cost of a
-    univariate gcd; the primitive PRS runs only when no line does.
+    Homogeneous inputs in three or more variables are first tried on lines
+    (_unit_line), which certify a unit gcd at the cost of a univariate
+    gcd; the primitive PRS runs only when no line does.
     """
-    polys = list(polys)
-    if not polys:
-        raise ValueError("empty coefficient list")
+    p, polys = one_ring(polys)
     nonzero = [P for P in polys if not P.is_zero]
     if not nonzero:
-        raise ValueError("all-zero coefficient list")
-    first = nonzero[0]
-    if (first.arity >= 3 and len({P.p for P in nonzero}) == 1
-            and all(P.is_homogeneous() for P in nonzero) and _unit_line(nonzero)):
-        return MultiPoly.constant(first.arity, 1, first.p).normalized()
+        raise ValueError("coefficient_gcd needs a nonzero polynomial")
+    arity = nonzero[0].arity
+    if arity >= 3 and all(P.is_homogeneous() for P in nonzero) and _unit_line(nonzero):
+        return MultiPoly.constant(arity, 1, p)
     return _fold_gcd(nonzero)

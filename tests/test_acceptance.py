@@ -23,7 +23,7 @@ from jpencil.exterior import (PolyVectorField, descends_check, differential,
                               integrability_check, interior_product,
                               lie_derivative)
 from jpencil.linalg import bareiss_rank, mat_vec
-from jpencil.poly import MultiPoly, coefficient_gcd
+from jpencil.poly import MultiPoly, coefficient_gcd, substitute
 from jpencil.varietyprobe import PointSet, stratum_points, zero_locus
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -171,7 +171,7 @@ def test_criterion_06_singular_point():
     for key, c, v in chain:
         keep = [[Fraction(int(i == j and i not in forced)) for j in range(4)]
                 for i in range(4)]
-        restricted = d_ref.terms[key].linear_substitute(keep)
+        [restricted] = substitute([d_ref.terms[key]], keep)
         assert restricted == c * x[v] ** 2, (key, forced, restricted)
         forced.append(v)
     assert [i for i in range(4) if i not in forced] == [2]

@@ -21,7 +21,7 @@ from jpencil.binary import (
     veronese,
 )
 from jpencil.linalg import bareiss_rank
-from jpencil.poly import FpElement, MultiPoly
+from jpencil.poly import FpElement, MultiPoly, substitute
 from jpencil.polytext import parse_poly
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -108,7 +108,7 @@ def test_invariant_weights_under_transform():
         F = BinaryForm([Fraction(rng.randint(-4, 4)) for _ in range(5)])
         # the substitution t_i -> sum_j m[i][j] t_j
         P = MultiPoly(2, {(4 - i, i): c for i, c in enumerate(F.plain_coefficients())})
-        G = BinaryForm.from_poly(P.linear_substitute(m))
+        G = BinaryForm.from_poly(substitute([P], m)[0])
         inv_f = invariants_qcd(F)
         inv_g = invariants_qcd(G)
         assert inv_g.Q == det ** 4 * inv_f.Q

@@ -553,6 +553,26 @@ def test_precondition_errors_exit_3():
         assert code == 3 and out == "" and "zero form" in err
 
 
+def test_a_non_quartic_is_refused_before_any_binomial(monkeypatch):
+    # the degree is read from the parsed polynomial, so a high power costs
+    # its parse only: from_plain's r + 1 binomials are never built
+    from jpencil import binary
+
+    def never(plain):
+        raise AssertionError("from_plain reached for degree %d" % (len(plain) - 1))
+
+    monkeypatch.setattr(binary.BinaryForm, "from_plain", never)
+    for command in ("invariants", "classify"):
+        for text, degree in (("t0^4*t1 + t1^5", 5), ("t0^12000", 12000), ("t0*t1", 2)):
+            start = time.perf_counter()
+            code, out, err = run_cli([command, text])
+            assert (code, out) == (3, "")
+            assert "invariants are defined for quartics, got degree %d" % degree in err
+            assert time.perf_counter() - start < 1
+        code, out, err = run_cli([command, "t0^3 + t1^4"])
+        assert (code, out) == (3, "") and "not homogeneous" in err
+
+
 def test_build_pullback():
     with tempfile.TemporaryDirectory() as tmp:
         eta = os.path.join(tmp, "eta.form")

@@ -26,12 +26,8 @@ from jpencil.exterior import (
     volume_form,
     wedge,
 )
-from jpencil.poly import FpElement, MultiPoly
+from jpencil.poly import FpElement, MultiPoly, substitute
 from jpencil.polytext import PolyParseError, parse_poly
-
-
-def _f7(n):
-    return FpElement(n, 7)
 
 
 def _rand_poly(rng, arity, maxdeg):
@@ -126,11 +122,13 @@ def test_d_squared_zero(drawn):
 
 def test_derivative_mod_p_leaves_no_zero_term():
     # over F_7 the derivative of z^7 vanishes and must leave no term
-    for scalar in (Fraction, _f7):
+    for p in (None, 7):
+        def scalar(n):
+            return MultiPoly.constant(3, Fraction(n), p)
         z = MultiPoly.variable(3, 0)
         df = differential(z ** 7 * scalar(3) + z * scalar(2))
         zero = MultiPoly.zero(3)
-        assert df == DiffForm.one_form([z ** 6 * scalar(21) + MultiPoly.constant(3, scalar(2)), zero, zero])
+        assert df == DiffForm.one_form([z ** 6 * scalar(21) + scalar(2), zero, zero])
         _assert_no_zero_terms(df)
 
 
@@ -243,7 +241,7 @@ def test_saturate_ignores_scalar_factors():
         omega_p = DiffForm.one_form([c.reduce_mod(7) for c in omega.coefficients()])
         if omega_p.is_zero:
             continue
-        t = FpElement(rng.randint(1, 6), 7)
+        t = rng.randint(1, 6)
         assert saturate(omega_p * t).form == saturate(omega_p).form
 
 
@@ -270,7 +268,7 @@ def _pullback_oracle(matrix, eta, new_arity=None):
         for row in matrix]
     result = DiffForm.zero(cols, eta.degree)
     for idx, coeff in eta.terms.items():
-        pulled = DiffForm.zero_form(coeff.linear_substitute(matrix))
+        pulled = DiffForm.zero_form(substitute([coeff], matrix)[0])
         for i in idx:
             pulled = wedge(pulled, basis_images[i])
         result = result + pulled
@@ -314,18 +312,23 @@ def test_pullback_equals_the_wedge_oracle(case):
 
 
 def test_pullback_keeps_the_prime_of_its_input():
-    # a matrix with FpElement entries pulls a form over Q back over F_7, and
-    # a form with coefficients over Q and F_7 pulls back into F_7
+    # a matrix acts over its form's ring: a form over F_7 pulls back over
+    # F_7, as the reduction of its pullback over Q, and a form with
+    # coefficients over Q and F_7 pulls back into F_7
     rng = random.Random(4011)
     x = [MultiPoly.variable(3, i) for i in range(3)]
     for _ in range(5):
         eta = _rand_one_form(rng, 3, 2)
-        if eta.is_zero:
+        eta_7 = DiffForm.one_form([c.reduce_mod(7) for c in eta.coefficients()])
+        if eta_7.is_zero:
             continue
-        matrix = [[_f7(rng.randint(1, 6)) for _ in range(4)] for _ in range(3)]
-        pulled = pullback_form(matrix, eta)
-        assert pulled == _pullback_oracle(matrix, eta)
+        matrix = [[rng.randint(1, 6) for _ in range(4)] for _ in range(3)]
+        pulled = pullback_form(matrix, eta_7)
+        assert pulled == _pullback_oracle(matrix, eta_7)
+        assert pulled == DiffForm.one_form([c.reduce_mod(7) for c in pullback_form(matrix, eta).coefficients()])
         assert {c.p for c in pulled.terms.values()} == {7}
+        with pytest.raises(TypeError, match="matrix entries are ints or Fractions"):
+            pullback_form([[FpElement(c, 7) for c in row] for row in matrix], eta)
     mixed = DiffForm.one_form([x[0] * x[1] + x[2] * x[2] * Fraction(1, 2), (x[1] - x[2]).reduce_mod(7),
                                x[0] * Fraction(3)])
     dense = [[Fraction(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(4)] for _ in range(3)]
@@ -333,6 +336,32 @@ def test_pullback_keeps_the_prime_of_its_input():
         pulled = pullback_form(dense, eta)
         assert pulled == _pullback_oracle(dense, eta)
         assert not pulled.is_zero and {c.p for c in pulled.terms.values()} == {7}
+
+
+def test_saturate_and_pullback_read_a_rational_coefficient_in_fp():
+    # a form with coefficients over Q and F_7 saturates over F_7 in either
+    # order, in 2 and 3 variables, and pulls back over F_7; F_5 with F_7 is
+    # refused
+    for n in (2, 3):
+        x = [MultiPoly.variable(n, i) for i in range(n)]
+        A = 2 * x[0] + x[1]
+        B = (A * (x[0] + x[n - 1] * 3)).reduce_mod(7)
+        zeros = [MultiPoly.zero(n)] * (n - 2)
+        for pair in ([A, B], [B, A]):
+            omega = DiffForm.one_form(pair + zeros)
+            omega_7 = DiffForm.one_form([c.reduce_mod(7) for c in omega.coefficients()])
+            sat = saturate(omega)
+            assert sat == saturate(omega_7), pair
+            assert sat.factor == A.reduce_mod(7) and sat.factor * sat.form == omega_7
+            matrix = [[1, Fraction(1, 2), 3]] * n
+            pulled = pullback_form(matrix, omega)
+            assert pulled == pullback_form(matrix, omega_7) == _pullback_oracle(matrix, omega)
+            assert {c.p for c in pulled.terms.values()} == {7}
+        x5, x7 = x[0].reduce_mod(5), x[1].reduce_mod(7)
+        both = DiffForm.one_form([x5, x7] + zeros)
+        for call in (saturate, lambda form: pullback_form([[1, 2]] * n, form)):
+            with pytest.raises(ValueError, match=r"no one ring for arities \[%d\] and primes \[5, 7\]" % n):
+                call(both)
 
 
 def test_pullback_new_arity_is_the_column_count():

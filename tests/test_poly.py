@@ -17,7 +17,6 @@ from jpencil.poly import (
     coefficient_gcd,
     exact_divide,
     grlex_key,
-    poly_gcd,
     to_fp,
 )
 from jpencil.polytext import parse_poly, poly_to_text
@@ -84,26 +83,29 @@ def test_fp_element_modulus_mismatch():
     with pytest.raises(ValueError):
         x5.reduce_mod(7)
     with pytest.raises(ValueError):
-        x5 * FpElement(1, 7)
+        x5 * MultiPoly.constant(2, FpElement(1, 7))
     with pytest.raises(ValueError):
         MultiPoly(2, {(1, 0): 1}, 3)
+    # an FpElement enters only through the constructor: it is no scalar
+    for scalar in (FpElement(1, 5), FpElement(1, 7)):
+        with pytest.raises(TypeError):
+            x5 * scalar
+        with pytest.raises(TypeError):
+            x * scalar
 
 
 def test_equal_scalars_hash_equal():
-    values = [FpElement(v, p) for p in (5, 7) for v in range(-3, 10)]
-    values += list(range(-3, 10)) + [Fraction(v, d) for v in range(-3, 10) for d in (1, 2, 5)]
+    values = list(range(-3, 10)) + [Fraction(v, d) for v in range(-3, 10) for d in (1, 2, 5)]
     for a in values:
         for b in values:
             if a == b:
                 assert hash(a) == hash(b), (a, b)
-    for a in range(5):
-        for b in range(7):
-            assert FpElement(a, 5) != FpElement(b, 7)
-    # an element of F_p equals no int, so a reduction never equals its source
+    # a polynomial over F_p equals none over Q, so a reduction never equals
+    # its source
     x = MultiPoly.variable(2, 0)
     assert (6 * x).reduce_mod(5) != 6 * x
     assert len({(6 * x).reduce_mod(5), 6 * x}) == 2
-    assert len({(6 * x).reduce_mod(5), x * FpElement(1, 5)}) == 1
+    assert len({(6 * x).reduce_mod(5), MultiPoly(2, {(1, 0): FpElement(1, 5)})}) == 1
 
 
 def test_rational_coefficients_are_int_or_fraction():
@@ -155,7 +157,7 @@ def test_ring_axioms_random():
             assert (A + B) * C == A * C + B * C
             assert A * (B * C) == (A * B) * C
             assert A - A == MultiPoly.zero(3, A.p)
-            assert A * scalar(0) == MultiPoly.zero(3, A.p)
+            assert A * MultiPoly.constant(3, scalar(0)) == MultiPoly.zero(3, A.p)
             _assert_no_zero_terms(A, B, C, A + B, A * B, (A + B) * C, A * C + B * C,
                                   A * (B * C), A - B)
 
@@ -201,7 +203,7 @@ def test_linear_substitute_composes():
     P = x0 * x0 - x1 * x1
     # x0 -> y0 + y1, x1 -> y0 - y1 gives 4 y0 y1
     matrix = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
-    Q = P.linear_substitute(matrix)
+    [Q] = poly.substitute([P], matrix)
     assert Q == MultiPoly(2, {(1, 1): Fraction(4)})
 
 
@@ -241,7 +243,7 @@ def test_normalized_ignores_scalar_factors():
         Pp = P.reduce_mod(7)
         if Pp.is_zero:
             continue
-        t = FpElement(rng.randint(1, 6), 7)
+        t = rng.randint(1, 6)
         assert (Pp * t).normalized() == Pp.normalized()
         assert Pp * Pp.normalization_scale() == Pp.normalized()
 
@@ -257,12 +259,12 @@ def test_reduce_mod_is_a_ring_map():
 
 def test_reduce_mod_rejects_bad_denominators_and_moduli():
     x0 = MultiPoly.variable(2, 0)
-    assert (x0 * Fraction(3, 4)).reduce_mod(7) == x0 * FpElement(6, 7)
+    assert (x0 * Fraction(3, 4)).reduce_mod(7) == MultiPoly(2, {(1, 0): FpElement(6, 7)})
     assert (x0 * 5).reduce_mod(5).is_zero
     with pytest.raises(ValueError):
         (x0 * Fraction(1, 10)).reduce_mod(5)
     with pytest.raises(ValueError):
-        (x0 * FpElement(1, 7)).reduce_mod(5)
+        x0.reduce_mod(7).reduce_mod(5)
     assert to_fp(FpElement(3, 7), 7) == 3
     assert to_fp(Fraction(3, 4), 7) == 6
     with pytest.raises(ValueError):
@@ -307,9 +309,9 @@ def test_poly_gcd_known_factors():
     x1 = MultiPoly.variable(2, 1)
     A = (x0 + x1) ** 2 * (x0 - x1)
     B = (x0 + x1) * (x0 + 2 * x1)
-    assert poly_gcd(A, B) == x0 + x1
+    assert coefficient_gcd([A, B]) == x0 + x1
     # coprime inputs give a unit
-    assert poly_gcd(x0, x1) == MultiPoly.constant(2, Fraction(1))
+    assert coefficient_gcd([x0, x1]) == MultiPoly.constant(2, Fraction(1))
 
 
 def test_poly_gcd_random_products():
@@ -320,7 +322,7 @@ def test_poly_gcd_random_products():
         G = x0 * rng.randint(1, 3) + x1 * rng.randint(1, 3)
         A = G * (x0 + rng.randint(1, 4) * x1)
         B = G * (x0 - rng.randint(1, 4) * x1)
-        got = poly_gcd(A, B)
+        got = coefficient_gcd([A, B])
         assert exact_divide(got, G.normalized()) is not None
 
 
@@ -346,9 +348,9 @@ _small_polys = st.dictionaries(st.tuples(*[st.integers(0, 1)] * 3), _coeffs,
 def test_reduce_mod_commutes_with_calculus_and_division(A, B, p, entries):
     for i in range(3):
         assert A.partial_derivative(i).reduce_mod(p) == A.reduce_mod(p).partial_derivative(i)
+    # one matrix on both sides: over F_p it is read mod p
     matrix = [entries[0:2], entries[2:4], entries[4:6]]
-    matrix_p = [[FpElement(to_fp(c, p), p) for c in row] for row in matrix]
-    assert A.linear_substitute(matrix).reduce_mod(p) == A.reduce_mod(p).linear_substitute(matrix_p)
+    assert poly.substitute([A], matrix)[0].reduce_mod(p) == poly.substitute([A.reduce_mod(p)], matrix)[0]
     assume(not A.is_zero and not B.reduce_mod(p).is_zero)
     assert exact_divide(A * B, B) == A
     assert exact_divide((A * B).reduce_mod(p), B.reduce_mod(p)) == A.reduce_mod(p)
@@ -369,7 +371,7 @@ def test_integral_rationals_are_stored_as_ints(A, B, entries):
     names = ("x0", "x1", "x2")
     matrix = [entries[0:2], entries[2:4], entries[4:6]]
     results = [A, A + B, A - B, A * B, A ** 3, A.partial_derivative(0),
-               A.linear_substitute(matrix), A.normalized(),
+               poly.substitute([A], matrix)[0], A.normalized(),
                parse_poly(poly_to_text(A, names), names)]
     if not B.is_zero:
         results.append(exact_divide(A * B, B))
@@ -396,18 +398,16 @@ def test_linear_substitute_composes_as_matrices(arities, p, data):
     P = MultiPoly(n, terms) if p is None else MultiPoly(n, terms).reduce_mod(p)
     A, B = data.draw(_matrices(n, m)), data.draw(_matrices(m, k))
     AB = [[sum(A[i][l] * B[l][j] for l in range(m)) for j in range(k)] for i in range(n)]
-    Q = P.linear_substitute(A).linear_substitute(B)
+    [Q] = poly.substitute(poly.substitute([P], A), B)
     assert (Q.arity, Q.p) == (k, p)
-    assert Q == P.linear_substitute(AB)
+    assert [Q] == poly.substitute([P], AB)
 
 
 def _linear_substitute_oracle(P, matrix):
-    """MultiPoly.linear_substitute on exponent tuples: every product of
+    """substitute on one polynomial, on exponent tuples: every product of
     monomials builds a fresh tuple."""
     new_arity = len(matrix[0]) if matrix else 0
     p = P.p
-    if p is None:
-        p = next((c.p for row in matrix for c in row if isinstance(c, FpElement)), None)
     one = (0,) * new_arity
     units = [one[:k] + (1,) + one[k + 1:] for k in range(new_arity)]
     images = [MultiPoly(new_arity, dict(zip(units, row)), p).terms for row in matrix]
@@ -439,21 +439,22 @@ def _exponents(n):
     return st.tuples(st.integers(0, 9), st.lists(st.integers(0, 9), min_size=n, max_size=n)).map(cap)
 
 
-_entries = st.one_of(st.just(0), st.integers(-3, 3), _coeffs, st.builds(FpElement, st.integers(0, 6), st.just(7)))
+# ints beyond [0, 7) and Fractions, which a polynomial over F_7 reads mod 7
+_entries = st.one_of(st.just(0), st.integers(-3, 3), _coeffs, st.integers(-20, 20))
 
 
 @settings(max_examples=150)
 @given(st.integers(1, 4), st.integers(1, 4), st.sampled_from((None, 7)), st.data())
 def test_packed_substitution_equals_the_tuple_oracle(n, m, p, data):
     # non-homogeneous polynomials up to degree 9, constants and zero; zero
-    # rows, one-column matrices, Fraction and FpElement entries
+    # rows, one-column matrices, int and Fraction entries, over Q and F_7
     terms = data.draw(st.one_of(
         st.dictionaries(_exponents(n), _coeffs, max_size=6),
         st.builds(lambda c: {(0,) * n: c}, _coeffs)))
     P = MultiPoly(n, terms) if p is None else MultiPoly(n, terms).reduce_mod(p)
     row = st.lists(_entries, min_size=m, max_size=m)
     matrix = data.draw(st.lists(st.one_of(st.just([0] * m), row), min_size=n, max_size=n))
-    assert P.linear_substitute(matrix) == _linear_substitute_oracle(P, matrix)
+    assert poly.substitute([P], matrix) == [_linear_substitute_oracle(P, matrix)]
 
 
 @st.composite
@@ -493,14 +494,18 @@ def test_substitute_refusals():
     x = MultiPoly.variable(2, 0)
     with pytest.raises(ValueError, match="substitute needs at least one polynomial"):
         poly.substitute([], [[1], [1]])
-    with pytest.raises(ValueError, match=r"substitute needs polynomials of one arity, got \[2, 3\]"):
+    with pytest.raises(ValueError, match=r"no one ring for arities \[2, 3\]"):
         poly.substitute([x, MultiPoly.variable(3, 0)], [[1], [1]])
     with pytest.raises(ValueError, match="a mixing row needs one scalar per polynomial"):
         poly.substitute([x, x], [[1], [1]], [[1]])
-    with pytest.raises(ValueError, match="substitute needs polynomials over one ring, got F_7 and Q"):
-        poly.substitute([x, x.reduce_mod(7)], [[1], [1]])
-    with pytest.raises(ValueError, match="substitute needs polynomials over one ring, got F_5 and F_7"):
+    # Q meets F_7 in F_7, by the ring rule
+    assert poly.substitute([x, x.reduce_mod(7)], [[1], [1]]) == [MultiPoly(1, {(1,): 1}, 7)] * 2
+    with pytest.raises(ValueError, match=r"no one ring for arities \[2\] and primes \[5, 7\]"):
         poly.substitute([x.reduce_mod(5), x.reduce_mod(7)], [[1], [1]])
+    # a matrix entry is an int or a Fraction, in either ring
+    for P in (x, x.reduce_mod(7)):
+        with pytest.raises(TypeError, match="matrix entries are ints or Fractions"):
+            poly.substitute([P], [[FpElement(1, 7)], [1]])
 
 
 @settings(max_examples=40)
@@ -511,11 +516,11 @@ def test_gcd_divides_and_cofactors_are_coprime(G, A, B, p):
         G, A, B = G.reduce_mod(p), A.reduce_mod(p), B.reduce_mod(p)
     assume(not (G.is_zero or A.is_zero or B.is_zero))
     A, B = G * A, G * B
-    g = poly_gcd(A, B)
-    cofactors = exact_divide(A, g), exact_divide(B, g)
+    g = coefficient_gcd([A, B])
+    cofactors = [exact_divide(A, g), exact_divide(B, g)]
     assert None not in cofactors
     assert exact_divide(g, G) is not None
-    assert poly_gcd(*cofactors) == MultiPoly.constant(3, Fraction(1), p)
+    assert coefficient_gcd(cofactors) == MultiPoly.constant(3, Fraction(1), p)
 
 
 def _sympy_poly(P):
@@ -538,7 +543,7 @@ def test_gcd_matches_sympy_up_to_a_scalar(G, A, B, p):
     assume(not G.is_zero and not (A.is_zero and B.is_zero))
     A, B = G * A, G * B
     expected = _sympy_poly(A).gcd(_sympy_poly(B))
-    assert _sympy_poly(poly_gcd(A, B)).monic() == expected.monic()
+    assert _sympy_poly(coefficient_gcd([A, B])).monic() == expected.monic()
 
 
 
@@ -567,18 +572,42 @@ def test_poly_gcd_meets_a_rational_and_a_modular_input_in_fp():
     A = 2 * x[0] + x[1]
     B = (A * (x[0] + x[2])).reduce_mod(7)
     expected = MultiPoly(3, {(1, 0, 0): 1, (0, 1, 0): 4}, 7)  # x0 + 4*x1 mod 7
-    for pair in ((A, B), (B, A), (A, MultiPoly.zero(3, 7)), (MultiPoly.zero(3, 7), A)):
-        assert poly_gcd(*pair) == expected, pair
-    assert poly_gcd(x[0] + x[2], B) == (x[0] + x[2]).reduce_mod(7)
+    for pair in ([A, B], [B, A], [A, MultiPoly.zero(3, 7)], [MultiPoly.zero(3, 7), A]):
+        assert coefficient_gcd(pair) == expected, pair
+    assert coefficient_gcd([x[0] + x[2], B]) == (x[0] + x[2]).reduce_mod(7)
+
+
+def test_one_ring_reads_a_rational_input_in_fp():
+    # Q meets F_7 in F_7 in every entry of poly: the gcd in either order and
+    # in 2 and 3 variables, division and substitution; F_5 meets F_7 nowhere
+    for n in (2, 3):
+        x = [MultiPoly.variable(n, i) for i in range(n)]
+        A = 2 * x[0] + x[1]
+        C = x[0] + x[n - 1] * 3
+        B = (A * C).reduce_mod(7)
+        for pair in ([A, B], [B, A]):
+            assert coefficient_gcd(pair) == A.reduce_mod(7).normalized(), pair
+        assert poly.one_ring([A, B]) == (7, [A.reduce_mod(7), B])
+        assert exact_divide(A * C, B) == MultiPoly.constant(n, 1, 7)
+        assert exact_divide(B, A) == C.reduce_mod(7)
+        matrix = [[1, Fraction(1, 2)]] * n
+        assert poly.substitute([A, B], matrix) == poly.substitute([A.reduce_mod(7), B], matrix)
+        assert all(P.p == 7 for P in poly.substitute([A, B], matrix))
+        x5, x7 = x[0].reduce_mod(5), x[0].reduce_mod(7)
+        for call in (lambda: coefficient_gcd([x5, A, x7]), lambda: exact_divide(x5, x7),
+                     lambda: poly.substitute([x5, x7], matrix), lambda: poly.one_ring([x5, x7])):
+            with pytest.raises(ValueError, match=r"no one ring for arities \[%d\] and primes \[5, 7\]" % n):
+                call()
 
 # -- the line certificate of a unit coefficient gcd --------------------------
 
 def _gcd_chain(polys):
-    """The oracle: the plain iterated gcd of the nonzero inputs."""
+    """The oracle: the plain iterated primitive-PRS gcd of the nonzero
+    inputs, with no line and no early stop."""
     nonzero = [P for P in polys if not P.is_zero]
     g = nonzero[0]
     for P in nonzero[1:]:
-        g = poly_gcd(g, P)
+        g = poly._gcd_rec(g, P)
     return g.normalized()
 
 
