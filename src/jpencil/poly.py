@@ -23,7 +23,7 @@ normalization and division routines use this one order.
 
 import random
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm
 
 
 class BadPrimeError(ValueError):
@@ -582,6 +582,60 @@ def _content_and_pp(P, v):
     return content, P if content.total_degree() == 0 else exact_divide(P, content)
 
 
+def _dense_primitive(a):
+    """The primitive integer list with a positive leading entry that is a
+    scalar multiple of the dense list a over Q (ints and Fractions)."""
+    if not a:
+        return a
+    den = lcm(*[c.denominator for c in a])
+    ints = [c.numerator * (den // c.denominator) for c in a] if den != 1 else a
+    g = _int_gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return [c // g for c in ints] if g != 1 else ints
+
+
+def _dense_gcd(a, b, p):
+    """The gcd of two univariate polynomials given as dense lists,
+    coefficients lowest degree first with no trailing zero ([] is 0).
+
+    Euclid: over F_p (entries ints in [0, p)) on remainders, and the gcd
+    comes back monic; over Q (p None, entries ints or Fractions) on the
+    primitive integer remainder sequence, each remainder a scalar multiple
+    of the true one, and the gcd comes back primitive with a positive
+    leading entry (_dense_primitive).
+    """
+    if p is None:
+        a, b = _dense_primitive(a), _dense_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r, lc, n = list(a), b[-1], len(b) - 1
+        inv = None if p is None else pow(lc, -1, p)
+        while len(r) > n:
+            lead = r.pop()
+            shift = len(r) - n
+            if p is None:
+                # r * lc/g - b * lead/g x^shift: integral, and the lead cancels
+                g = _int_gcd(lead, lc)
+                m, q = lc // g, lead // g
+                if m != 1:
+                    r = [m * c for c in r]
+                for i in range(n):
+                    r[shift + i] -= q * b[i]
+            else:
+                q = lead * inv % p
+                for i in range(n):
+                    r[shift + i] = (r[shift + i] - q * b[i]) % p
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, (_dense_primitive(r) if p is None else r)
+    if p is None or not a:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
 def _gcd_rec(P, Q):
     if P.is_zero:
         return Q
@@ -595,6 +649,17 @@ def _gcd_rec(P, Q):
             break
     if main < 0:
         return MultiPoly.constant(P.arity, 1, P._ring(Q))
+    if all(sum(e) == e[main] for R in (P, Q) for e in R.terms):
+        # both involve the main variable only: Euclid on dense lists
+        p, dense = P._ring(Q), []
+        for R in (P, Q):
+            a = [0] * (_degree_in(R, main) + 1)
+            for e, c in R.terms.items():
+                a[e[main]] = c
+            dense.append(a)
+        zeros = (0,) * P.arity
+        return MultiPoly(P.arity, {zeros[:main] + (k,) + zeros[main + 1:]: c
+                                   for k, c in enumerate(_dense_gcd(*dense, p))}, p)
     cP, ppP = _content_and_pp(P, main)
     cQ, ppQ = _content_and_pp(Q, main)
     cont = _gcd_rec(cP, cQ)
@@ -620,10 +685,72 @@ _LINE_SEED = 20061
 # zeros of the inputs with probability about degree/p, and a draw is lost
 # when polys[0](v) = 0, so small primes need several draws: on unit-gcd
 # restrictions mod 5, 8 draws left 7% of them to the PRS and 16 left none
-# of 2,400.  A draw costs a few univariate gcds, the PRS seconds.  Over Q a
-# failed line is the common case (a real common factor), so one draw.
+# of 2,400.  A draw costs about 0.1 ms on those restrictions (four quartics
+# in 4 variables, 22-34 terms each; 0.08-0.14 ms per draw), nearly all of
+# it in _on_line.  Over Q a failed line is the common case (a real common
+# factor), so one draw.
 _LINES_FP = 16
 _LINES_Q = 1
+
+
+def _on_line(polys, u, v, p):
+    """Each P(u + t*v) for P in polys, over F_p (p) or over Q (p None), as
+    a dense list of ints, lowest degree first ([] for 0); u and v are lists
+    of ints.  Over F_p the coefficients are reduced into [0, p); over Q
+    they are those of P times the lcm of its denominators.
+
+    Kronecker substitution, with t = 2^B: variable i is the int
+    u_i + v_i * 2^B and a term c * x^e the int c * prod_i image_i^e_i, so
+    the sum holds the coefficient of t^k as the signed digit of bits kB to
+    (k + 1)B.  No coefficient exceeds N = ||P||_1 * r^d in absolute value,
+    with r = max(1, |u_i| + |v_i| over i) and d the total degree of P, so
+    B = N.bit_length() + 1, a sign bit on top, keeps every digit in
+    [-2^(B-1), 2^(B-1)); one B serves all inputs.
+    """
+    scaled = []
+    for P in polys:
+        terms = P.terms
+        if p is None:
+            den = lcm(*[c.denominator for c in terms.values()])
+            if den != 1:
+                terms = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+        scaled.append(terms)
+    reach = max([1] + [abs(a) + abs(b) for a, b in zip(u, v)])
+    degrees = [max(map(sum, terms), default=0) for terms in scaled]
+    norm = max(sum(map(abs, terms.values())) * reach ** d for terms, d in zip(scaled, degrees))
+    B = norm.bit_length() + 1
+    powers = []
+    for a, b in zip(u, v):
+        x = a + (b << B)
+        table = [1]
+        for _ in range(max(degrees)):
+            table.append(table[-1] * x)
+        powers.append(table)
+    mask, half = (1 << B) - 1, 1 << (B - 1)
+    monomials = {}  # the int of each monomial, once for all inputs
+    out = []
+    for terms, d in zip(scaled, degrees):
+        packed = 0
+        for exps, c in terms.items():
+            x = monomials.get(exps)
+            if x is None:
+                x = 1
+                for table, e in zip(powers, exps):
+                    if e:
+                        x *= table[e]
+                monomials[exps] = x
+            packed += c * x
+        digits = []
+        for _ in range(d + 1):
+            digit = packed & mask
+            if digit >= half:
+                digit -= mask + 1
+            digits.append(digit if p is None else digit % p)
+            packed = (packed - digit) >> B
+        while digits and not digits[-1]:
+            digits.pop()
+        out.append(digits)
+    return out
 
 
 def _unit_line(polys):
@@ -636,7 +763,8 @@ def _unit_line(polys):
     divides every P(u + t*v).  A constant gcd of these univariate
     restrictions therefore proves that G is a constant, over Q and F_p.
     A variable that divides every input is a common factor, and no line
-    is tried.
+    is tried.  The restrictions are dense lists (_on_line), and their gcd
+    is folded with _dense_gcd until it is a constant.
     """
     arity = polys[0].arity
     if any(all(e[i] for P in polys for e in P.terms) for i in range(arity)):
@@ -654,12 +782,11 @@ def _unit_line(polys):
         minors = (u[i] * v[j] - u[j] * v[i] for i in range(arity) for j in range(i))
         if not polys[0].evaluate(v) or not any(m if p is None else m % p for m in minors):
             continue
-        # P(s*u + t*v), homogeneous in (s, t), read at s = 1
-        matrix = [[a, b] for a, b in zip(u, v)]
-        restricted = [MultiPoly(1, {(e[1],): c for e, c in R.terms.items()}, p)
-                      for R in substitute(polys, matrix) if not R.is_zero]
-        if _fold_gcd(restricted).total_degree() == 0:
-            return u, v
+        g = []
+        for a in _on_line(polys, u, v, p):
+            g = _dense_gcd(g, a, p)
+            if len(g) == 1:
+                return u, v
     return None
 
 

@@ -120,14 +120,17 @@ def _recorded(monkeypatch, module, name):
 
 
 def test_each_pullback_substitutes_once(monkeypatch):
-    # a restriction is one substitution of all coefficients and no wedge, a
-    # line drawn for the unit certificate one substitution of all inputs,
+    # a restriction is one substitution of all coefficients and no wedge,
     # and derive substitutes both functionals of the osculating plane in
-    # one call
+    # one call; a line drawn for the unit certificate substitutes nothing,
+    # and each draw whose point passes the test is one _on_line call on all
+    # inputs
     omega4 = build_omega4()
+    point_test = poly.MultiPoly.evaluate
     substituted = _recorded(monkeypatch, poly, "substitute")
     wedged = _recorded(monkeypatch, exterior, "wedge")
     draws = _recorded(monkeypatch, poly.MultiPoly, "evaluate")
+    lines = _recorded(monkeypatch, poly, "_on_line")
     dense = [[1, 2, -1, 3], [2, -1, 1, 1], [-1, 1, 2, -2], [3, 1, -2, 1], [1, -3, 1, 2]]
     for inclusion in (osculating_inclusion(), dense):
         substituted.clear()
@@ -139,10 +142,22 @@ def test_each_pullback_substitutes_once(monkeypatch):
     for inputs, unit in ((reduced, True), ([L * P for P in reduced], False)):
         substituted.clear()
         draws.clear()
+        lines.clear()
         assert (poly._unit_line(inputs) is not None) == unit
-        assert 1 <= len(substituted) <= len(draws) <= poly._LINES_FP
+        assert not substituted
+        # replay the seeded draws: a draw passes with inputs[0](v) != 0 and
+        # u not proportional to v (the first draw here is u = 5v mod 7)
+        rng = random.Random(poly._LINE_SEED)
+        passed = []
+        for _ in draws:
+            u, v = [rng.randrange(7) for _ in range(4)], [rng.randrange(7) for _ in range(4)]
+            if point_test(inputs[0], v) and any((u[i] * v[j] - u[j] * v[i]) % 7
+                                                for i in range(4) for j in range(i)):
+                passed.append((u, v))
+        assert [call[1:3] for call in lines] == passed
+        assert 1 <= len(lines) <= len(draws) <= poly._LINES_FP
         assert unit or len(draws) == poly._LINES_FP
-        assert all(call[0] == inputs for call in substituted)
+        assert all(call[0] == inputs and call[3] == 7 for call in lines)
     substituted.clear()
     derive_omega_bar()
     plane = list(osculating_flag((1, 0)).plane)

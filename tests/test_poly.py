@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -601,14 +602,19 @@ def test_one_ring_reads_a_rational_input_in_fp():
 
 # -- the line certificate of a unit coefficient gcd --------------------------
 
+def _from_sympy(f, arity, p):
+    """A sympy ring element as a MultiPoly over Q (p None) or F_p."""
+    to_sympy = f.ring.domain.to_sympy
+    return MultiPoly(arity, {e: Fraction(int(r.p), int(r.q)) for e, r in
+                             ((e, to_sympy(c)) for e, c in f.terms())}, p)
+
+
 def _gcd_chain(polys):
-    """The oracle: the plain iterated primitive-PRS gcd of the nonzero
-    inputs, with no line and no early stop."""
+    """The oracle: sympy's gcd of the nonzero inputs, iterated with no line
+    and no early stop, normalized; it shares no code with poly's gcd."""
     nonzero = [P for P in polys if not P.is_zero]
-    g = nonzero[0]
-    for P in nonzero[1:]:
-        g = poly._gcd_rec(g, P)
-    return g.normalized()
+    g = functools.reduce(lambda a, b: a.gcd(b), map(_sympy_poly, nonzero))
+    return _from_sympy(g, nonzero[0].arity, nonzero[0].p).normalized()
 
 
 def _restrict(P, u, v):
@@ -632,17 +638,89 @@ def _certifies(polys, line):
     return polys[0].evaluate(v) != 0 and _gcd_chain(restricted).total_degree() == 0
 
 
+def _dense(P):
+    """A polynomial in one variable as a dense list, lowest degree first."""
+    return [P.terms.get((k,), 0) for k in range(P.total_degree() + 1)]
+
+
+# coefficients up to about 10^30, ints and Fractions, and points up to
+# +-10^6, so that the slots of _on_line hold numbers of a hundred bits
+_wide = st.one_of(_coeffs, st.integers(-10 ** 30, 10 ** 30),
+                  st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 6)))
+_points = st.one_of(st.integers(-3, 3), st.integers(-10 ** 6, 10 ** 6))
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 4), st.sampled_from((None, 5, 7, 11, 31)), st.data())
+def test_on_line_equals_the_restriction_oracle(n, p, data):
+    # up to four inputs of degree up to 9, the zero polynomial among them;
+    # over Q each restriction is scaled by the lcm of its input's
+    # denominators, over F_p (integer inputs) it is reduced
+    entries = _wide if p is None else st.integers(-10 ** 30, 10 ** 30)
+    polys = [MultiPoly(n, terms) if p is None else MultiPoly(n, terms).reduce_mod(p)
+             for terms in data.draw(st.lists(st.dictionaries(_exponents(n), entries, max_size=6),
+                                             min_size=1, max_size=4))]
+    u, v = [data.draw(st.lists(_points, min_size=n, max_size=n)) for _ in range(2)]
+    expected = []
+    for P in polys:
+        scale = 1 if p is not None else math.lcm(*[Fraction(c).denominator for c in P.terms.values()])
+        expected.append([c * scale for c in _dense(_restrict(P, u, v))])
+    assert poly._on_line(polys, u, v, p) == expected
+
+
+def test_on_line_holds_a_coefficient_at_the_slot_bound():
+    # c * x0^d with u_0 = 0 and |v_0| the largest |u_i| + |v_i| restricts to
+    # c * v_0^d * t^d, whose coefficient is +-||P||_1 * 5^d: the bound that
+    # sets the slot width, so one bit fewer or an unsigned read of the
+    # digits gives another list
+    for c, d, v0 in itertools.product((3, -3), (3, 4), (5, -5)):
+        P = MultiPoly(2, {(d, 0): c})
+        u, v = [0, 1], [v0, 2]
+        assert abs(c * v0 ** d) == abs(c) * 5 ** d
+        assert poly._on_line([P], u, v, None) == [[0] * d + [c * v0 ** d]]
+        assert poly._on_line([P.reduce_mod(31)], u, v, 31) == [[0] * d + [c * v0 ** d % 31]]
+
+
+def _univariates(p, top):
+    """Polynomials in one variable of degree at most top, over Q (int and
+    Fraction coefficients) or over F_p."""
+    entry = _coeffs if p is None else st.integers(0, p - 1)
+    return st.lists(entry, max_size=top + 1).map(
+        lambda a: MultiPoly(1, {(k,): c for k, c in enumerate(a)}, p))
+
+
+@settings(max_examples=80)
+@given(st.sampled_from((None, 5, 7, 11, 31)), st.data())
+def test_dense_gcd_equals_sympy_with_a_planted_factor(p, data):
+    # G * A and G * B, either of them possibly zero: the gcd is sympy's up
+    # to a scalar, so it has the same degree, and it comes back monic over
+    # F_p and primitive with a positive leading entry over Q
+    G, A, B = [data.draw(_univariates(p, top)) for top in (3, 4, 4)]
+    assume(not G.is_zero and not (A.is_zero and B.is_zero))
+    a, b = _dense(G * A), _dense(G * B)
+    g = poly._dense_gcd(a, b, p)
+    expected = _sympy_poly(G * A).gcd(_sympy_poly(G * B))
+    assert len(g) - 1 == expected.degree() >= G.total_degree()
+    assert MultiPoly(1, {(k,): c for k, c in enumerate(g)}, p) == _from_sympy(expected, 1, p).normalized()
+    assert all(type(c) is int for c in g)
+
+
 def _degree_monomials(n, d):
     return [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d]
 
 
 @st.composite
-def _homogeneous_families(draw):
-    n = draw(st.sampled_from((3, 4)))
+def _planted_families(draw):
+    """2-4 inputs with a planted common factor of degree 0 or 1: forms in
+    3 and 4 variables, and in 1 and 2 variables forms in one more variable
+    read at that variable = 1, as binary.root_pattern reads a quartic."""
+    n = draw(st.sampled_from((1, 2, 3, 4)))
     p = draw(st.sampled_from((None, 5, 7, 11)))
 
     def form(d):
-        terms = draw(st.dictionaries(st.sampled_from(_degree_monomials(n, d)), _coeffs, min_size=1, max_size=4))
+        support = (_degree_monomials(n, d) if n > 2
+                   else [e[:n] for e in _degree_monomials(n + 1, d)])
+        terms = draw(st.dictionaries(st.sampled_from(support), _coeffs, min_size=1, max_size=4))
         P = MultiPoly(n, terms)
         return P if p is None else P.reduce_mod(p)
 
@@ -652,13 +730,20 @@ def _homogeneous_families(draw):
 
 
 @settings(max_examples=80)
-@given(_homogeneous_families())
+@given(_planted_families())
+# x1 - 1 and x0*x1 - 1 are coprime, but the second read in x1 alone, the
+# main variable of the pair, would be x1 - 1
+@example([MultiPoly(2, {(0, 1): 1, (0, 0): -1}), MultiPoly(2, {(1, 1): 1, (0, 0): -1})])
 def test_coefficient_gcd_matches_the_gcd_chain(polys):
-    # over Q and F_5, F_7, F_11, with and without a planted common factor
+    # over Q and F_5, F_7, F_11, with and without a planted common factor,
+    # against sympy's gcd: in one variable through _dense_gcd, in two
+    # through the PRS with univariate contents and, for a pair in the main
+    # variable alone, _dense_gcd; in three and four through the line
+    # certificate or the PRS
     nonzero = [P for P in polys if not P.is_zero]
     assume(nonzero)
     assert coefficient_gcd(polys) == _gcd_chain(polys)
-    line = poly._unit_line(nonzero)
+    line = poly._unit_line(nonzero) if nonzero[0].arity > 2 else None
     if line is not None:
         assert _certifies(nonzero, line)
 
@@ -725,3 +810,32 @@ def test_planted_linear_factor_is_never_a_unit():
             continue
         assert poly._unit_line([P for P in polys if not P.is_zero]) is None
         assert exact_divide(coefficient_gcd(polys), L) is not None
+
+
+# The unit-gcd benchmark's base inclusions of a hyperplane, one per prime,
+# each with the line that certified its restriction before restrictions
+# were taken on packed ints: the line is the certificate's witness, so the
+# kernels must draw and accept the same one.
+_PINNED_LINES = {
+    5: ([[3, 2, 1, -2], [3, 1, -2, 2], [-2, 1, -2, -3], [1, -3, 3, -1], [-2, 2, -1, -3]],
+        ([1, 2, 3, 1], [1, 0, 1, 3])),
+    7: ([[1, -1, 2, 1], [2, 2, -3, 2], [-1, 1, 1, 3], [2, 3, 1, 3], [2, -3, -1, -3]],
+        ([6, 0, 1, 3], [5, 4, 3, 5])),
+    11: ([[2, -1, 3, 1], [-1, -3, 2, -1], [3, 1, -2, 2], [1, 1, 2, 3], [-2, -1, -2, 3]],
+         ([3, 4, 10, 7], [2, 3, 1, 3])),
+    13: ([[3, -1, -3, -2], [-2, 1, -1, 2], [3, 3, 3, 3], [1, 2, -3, -3], [-2, 1, 3, 2]],
+         ([1, 3, 6, 10], [9, 6, 11, 5])),
+    31: ([[3, -1, -2, -2], [3, -2, 1, 3], [2, 3, 2, 3], [2, 3, -1, -1], [3, -2, 2, 1]],
+         ([7, 8, 23, 21], [15, 24, 4, 6])),
+}
+
+
+def test_unit_line_witnesses_are_pinned():
+    from jpencil.exceptional import build_omega4, restrict_to_hyperplane
+    omega4 = build_omega4()
+    for p, (inclusion, line) in _PINNED_LINES.items():
+        reduced = [P.reduce_mod(p) for P in restrict_to_hyperplane(omega4, inclusion).coefficients()]
+        assert poly._unit_line([P for P in reduced if not P.is_zero]) == line, p
+    # over Q, on the restriction by the inclusion pinned for p = 5
+    restricted = restrict_to_hyperplane(omega4, _PINNED_LINES[5][0]).coefficients()
+    assert poly._unit_line([P for P in restricted if not P.is_zero]) == ([-2, -1, 2, 2], [0, 3, -2, -2])
