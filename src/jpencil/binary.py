@@ -124,6 +124,8 @@ def root_pattern(F):
     number of leading zero coefficients.  The finite multiplicities come from
     the chain g_(k+1) = gcd(g_k, g_k'), whose degree drops record how many
     roots survive each differentiation, which holds in characteristic 0.
+    Each step must lower the degree, so the chain takes at most r steps; a
+    gcd that does not is an ArithmeticError, a fault and not bad input.
     """
     r = F.degree
     plain = F.plain_coefficients()
@@ -133,12 +135,15 @@ def root_pattern(F):
     f = MultiPoly(1, {(r - i,): plain[i] for i in range(m_inf, r + 1)})
     mults = []
     if f.total_degree() > 0:
-        survivors = []  # survivors[k] = number of roots of multiplicity > k
+        survivors = [f.total_degree()]  # survivors[k] = number of roots of multiplicity > k
         g = f
-        while g.total_degree() > 0:
-            survivors.append(g.total_degree())
+        while survivors[-1] > 0:
             g = coefficient_gcd([g, g.partial_derivative(0)])
-        survivors.append(0)
+            d = g.total_degree()
+            if not 0 <= d < survivors[-1]:
+                raise ArithmeticError("square-free chain: a gcd of degree %d after degree %d"
+                                      % (d, survivors[-1]))
+            survivors.append(d)
         drops = [a - b for a, b in zip(survivors, survivors[1:])]
         for k, (hi, lo) in enumerate(zip(drops, drops[1:] + [0]), start=1):
             mults.extend([k] * (hi - lo))

@@ -501,40 +501,104 @@ def substitute(polys, matrix, mixing=None):
 
 # -- division and gcd ------------------------------------------------------
 
+def _cleared(terms):
+    """(den, the term map times den), with den the lcm of the denominators
+    of the term map of a polynomial over Q: every coefficient comes out an
+    int, and den == 1 returns the map itself, which the constructor has
+    stored in ints."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    if den == 1:
+        return den, terms
+    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
 def exact_divide(P, F):
     """Return G with P = F * G, or None when F does not divide P.
 
-    Leading-term peeling in the global order; correct because the leading
-    monomial of any multiple of F is divisible by the leading monomial of F.
+    Leading-term peeling in the global order, correct because the leading
+    monomial of any multiple of F is divisible by the leading monomial of
+    F, on packed monomials (after Monagan and Pearce, CASC 2007).
+
+    Keys: with top the largest total degree in P and F, a monomial of n
+    variables is one int of n + 1 fields, each s = top.bit_length() + 1
+    bits wide: the total degree in the highest field, then e_0, ...,
+    e_(n-1).  The int order is then grlex_key's order, so the leading term
+    of the remainder is a max over ints, and a product of two monomials is
+    the sum of their keys: no field of a product formed here exceeds top.
+    The top bit of each field is a guard bit, clear in every key, since a
+    field holds at most top < 2^(s-1).  The leading monomial f of F
+    divides a monomial r exactly when (r - f) & guard == 0: a field of r
+    below that of f borrows from the field above and sets its own guard
+    bit.  The quotient's keys are unpacked to exponent tuples once.
+
+    Over Q, P is scaled to integers by the lcm of its denominators and F to
+    its primitive integer multiple.  By Gauss's lemma an integer
+    polynomial that a primitive one divides over Q has an integral
+    quotient, so each quotient coefficient is a divmod by F's leading
+    coefficient, and a nonzero remainder proves that F does not divide P.
+    The quotient is scaled back once, at the end.  Over F_p each step
+    multiplies by the inverse of F's leading coefficient.
     """
     if F.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     p, (P, F) = one_ring((P, F))
-    f_lead = max(F.terms, key=grlex_key)
-    f_lc = F.terms[f_lead]
-    f_inv = Fraction(1, f_lc) if p is None else pow(f_lc, -1, p)
+    n = P.arity
+    p_terms, f_terms, scale = P.terms, F.terms, 1
+    if p is None:
+        p_den, p_terms = _cleared(p_terms)
+        f_den, f_terms = _cleared(f_terms)
+        content = _int_gcd(*f_terms.values())
+        if content != 1:
+            f_terms = {e: c // content for e, c in f_terms.items()}
+        scale = Fraction(f_den, content * p_den)
+    top = max(max(map(sum, p_terms), default=0), max(map(sum, f_terms)))
+    s = top.bit_length() + 1
+    guard = sum(1 << (s * j + s - 1) for j in range(n + 1))
+
+    def pack(terms):
+        packed = {}
+        for exps, c in terms.items():
+            key = sum(exps)
+            for e in exps:
+                key = key << s | e
+            packed[key] = c
+        return packed
+
+    rest = pack(f_terms)
+    f_lead = max(rest)
+    f_lc = rest.pop(f_lead)
+    rest = list(rest.items())
+    f_inv = None if p is None else pow(f_lc, -1, p)
     quotient = {}
-    # the remainder drops its own zeros: its leading term is read every step
-    rem = dict(P.terms)
+    # the remainder keeps the zeros that cancellation leaves, and reduces
+    # mod p only the coefficient it reads: a zero leading entry is dropped.
+    # Each step pops the largest key and adds only smaller keys, none
+    # negative (d passed the guard test), so the loop ends.
+    rem = pack(p_terms)
     while rem:
-        r_lead = max(rem, key=grlex_key)
-        diff = tuple(a - b for a, b in zip(r_lead, f_lead))
-        if any(d < 0 for d in diff):
+        r = max(rem)
+        c = rem.pop(r)
+        if p is not None:
+            c %= p
+        if not c:
+            continue
+        d = r - f_lead
+        if d & guard:
             return None
-        q_c = rem[r_lead] * f_inv if p is None else rem[r_lead] * f_inv % p
-        quotient[diff] = q_c
-        for exps, c in F.terms.items():
-            tgt = tuple(d + e for d, e in zip(diff, exps))
-            cur = rem.get(tgt)
-            delta = q_c * c
-            s = -delta if cur is None else cur - delta
-            if p is not None:
-                s %= p
-            if s:
-                rem[tgt] = s
-            elif cur is not None:
-                del rem[tgt]
-    return MultiPoly(P.arity, quotient, p)
+        if p is None:
+            c, m = divmod(c, f_lc)
+            if m:
+                return None
+        else:
+            c = c * f_inv % p
+        quotient[d] = c
+        for k, fc in rest:
+            k += d
+            rem[k] = rem.get(k, 0) - c * fc
+    mask = (1 << s) - 1
+    shifts = [s * (n - 1 - i) for i in range(n)]
+    return MultiPoly(n, {tuple([d >> t & mask for t in shifts]): c if scale == 1 else c * scale
+                         for d, c in quotient.items()}, p)
 
 
 def _degree_in(P, v):
@@ -584,11 +648,12 @@ def _content_and_pp(P, v):
 
 def _dense_primitive(a):
     """The primitive integer list with a positive leading entry that is a
-    scalar multiple of the dense list a over Q (ints and Fractions)."""
+    scalar multiple of the dense list a over Q (ints and Fractions, which
+    may be integral)."""
     if not a:
         return a
     den = lcm(*[c.denominator for c in a])
-    ints = [c.numerator * (den // c.denominator) for c in a] if den != 1 else a
+    ints = [c.numerator * (den // c.denominator) for c in a]
     g = _int_gcd(*ints)
     if ints[-1] < 0:
         g = -g
@@ -707,14 +772,7 @@ def _on_line(polys, u, v, p):
     B = N.bit_length() + 1, a sign bit on top, keeps every digit in
     [-2^(B-1), 2^(B-1)); one B serves all inputs.
     """
-    scaled = []
-    for P in polys:
-        terms = P.terms
-        if p is None:
-            den = lcm(*[c.denominator for c in terms.values()])
-            if den != 1:
-                terms = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-        scaled.append(terms)
+    scaled = [P.terms if p is not None else _cleared(P.terms)[1] for P in polys]
     reach = max([1] + [abs(a) + abs(b) for a, b in zip(u, v)])
     degrees = [max(map(sum, terms), default=0) for terms in scaled]
     norm = max(sum(map(abs, terms.values())) * reach ** d for terms, d in zip(scaled, degrees))

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from jpencil import binary, cli
 from jpencil.binary import (
     BinaryForm,
     cubic_discriminant_plain,
@@ -150,6 +151,27 @@ def test_root_pattern_irrational_roots():
     # t0^4 - t1^4 has two rational and two conjugate simple roots
     F = BinaryForm.from_poly(parse_poly("t0^4 - t1^4", ("t0", "t1")))
     assert root_pattern(F).multiplicities == (1, 1, 1, 1)
+
+
+def test_root_pattern_refuses_a_gcd_that_does_not_lower_the_degree(monkeypatch):
+    # a faulty gcd that returns its first input would keep the square-free
+    # chain at one degree forever; the chain refuses it at the first step,
+    # with an error that the CLI does not read as bad input
+    calls = []
+
+    def first_input(polys):
+        calls.append(polys)
+        return polys[0]
+
+    monkeypatch.setattr(binary, "coefficient_gcd", first_input)
+    F = BinaryForm.from_poly(parse_poly("t0^2*t1*(t0 - t1)", ("t0", "t1")))
+    with pytest.raises(ArithmeticError, match="square-free chain") as info:
+        root_pattern(F)
+    assert not isinstance(info.value, ValueError)
+    assert len(calls) == 1
+    # so `classify` fails as a fault, not with exit 3
+    with pytest.raises(ArithmeticError, match="square-free chain"):
+        cli.run(["classify", "t0^2*t1*(t0 - t1)"])
 
 
 def test_discriminant_oracle_constant_golden():

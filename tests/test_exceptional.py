@@ -214,10 +214,12 @@ def test_tangent_system_reference():
 
 
 def _sympy_rank(rows):
-    from sympy import QQ
+    # the tangent rows are ints, and a rank over ZZ is the rank over QQ
+    from sympy import ZZ
     from sympy.polys.matrices import DomainMatrix
-    entries = [[QQ(c.numerator, c.denominator) for c in row] for row in rows]
-    return DomainMatrix(entries, (len(rows), len(rows[0])), QQ).rank()
+    assert all(type(c) is int for row in rows for c in row)
+    entries = [[ZZ(c) for c in row] for row in rows]
+    return DomainMatrix(entries, (len(rows), len(rows[0])), ZZ).rank()
 
 
 def _gl4_pullback(seed):

@@ -509,6 +509,93 @@ def test_substitute_refusals():
             poly.substitute([P], [[FpElement(1, 7)], [1]])
 
 
+# -- exact division on packed keys, against the tuple loop -------------------
+
+def _exact_divide_oracle(P, F):
+    """exact_divide on exponent tuples: each step takes the leading term of
+    the remainder by grlex_key, builds the quotient monomial as a tuple and
+    divides by F's leading coefficient in the field."""
+    p, (P, F) = poly.one_ring((P, F))
+    f_lead = max(F.terms, key=grlex_key)
+    f_lc = F.terms[f_lead]
+    f_inv = Fraction(1, f_lc) if p is None else pow(f_lc, -1, p)
+    quotient = {}
+    rem = dict(P.terms)
+    while rem:
+        r_lead = max(rem, key=grlex_key)
+        diff = tuple(a - b for a, b in zip(r_lead, f_lead))
+        if any(d < 0 for d in diff):
+            return None
+        q_c = rem[r_lead] * f_inv if p is None else rem[r_lead] * f_inv % p
+        quotient[diff] = q_c
+        for exps, c in F.terms.items():
+            tgt = tuple(d + e for d, e in zip(diff, exps))
+            s = rem.get(tgt, 0) - q_c * c
+            if p is not None:
+                s %= p
+            if s:
+                rem[tgt] = s
+            else:
+                rem.pop(tgt, None)
+    return MultiPoly(P.arity, quotient, p)
+
+
+# small Fractions, wide ints and wide Fractions over Q, and wide ints read
+# mod 7: leading coefficients that are not 1 and need not divide
+_division_coeffs = st.one_of(_coeffs, st.integers(-10 ** 6, 10 ** 6),
+                             st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 3)))
+
+
+@st.composite
+def _division_cases(draw):
+    """(A, B, R) in n <= 4 variables over Q or F_7, B nonzero, each up to
+    total degree 9 and not homogeneous in general.  With a drawn flag, A
+    and B hold a pure power of one variable at their own total degree, so
+    that A * B holds an exponent equal to the largest total degree in the
+    division, the value at the limit of a key's field."""
+    n, p = draw(st.integers(1, 4)), draw(st.sampled_from((None, 7)))
+    coeffs = _division_coeffs if p is None else st.integers(-10 ** 6, 10 ** 6)
+    A, B, R = [draw(st.dictionaries(_exponents(n), coeffs, min_size=size, max_size=6))
+               for size in (0, 1, 0)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        for terms in (A, B):
+            d = max(map(sum, terms), default=0)
+            terms[tuple(d if j == i else 0 for j in range(n))] = draw(st.integers(1, 6))
+    A, B, R = [MultiPoly(n, t) if p is None else MultiPoly(n, t).reduce_mod(p) for t in (A, B, R)]
+    assume(not B.is_zero)
+    return A, B, R
+
+
+_x = [MultiPoly.variable(2, i) for i in range(2)]
+_one = MultiPoly.constant(2, 1)
+
+
+@settings(max_examples=100)
+@given(_division_cases())
+@example((_x[0] ** 2, _x[0] + _one, None))
+@example((Fraction(1, 2) * _one, 2 * _x[0] + 2 * _one, None))
+def test_packed_division_returns_the_cofactor(case):
+    # A * B / B is A, and the tuple loop agrees
+    A, B, _ = case
+    assert exact_divide(A * B, B) == A == _exact_divide_oracle(A * B, B)
+
+
+@settings(max_examples=100)
+@given(_division_cases())
+@example((0 * _one, _x[0], _x[1] ** 2))
+@example((0 * _one, 2 * _x[0] + _one, _x[0]))
+@example((_x[0] ** 3, 3 * _x[0] + 2 * _one, Fraction(1, 3) * _x[1]))
+def test_packed_division_equals_the_tuple_oracle(case):
+    # A * B + R / B: a quotient exactly when the tuple loop finds one
+    A, B, R = case
+    P = A * B + R
+    got = exact_divide(P, B)
+    assert got == _exact_divide_oracle(P, B)
+    if got is not None:
+        assert got * B == P
+
+
 @settings(max_examples=40)
 @given(_small_polys, _small_polys, _small_polys, st.sampled_from((None, 7)))
 def test_gcd_divides_and_cofactors_are_coprime(G, A, B, p):
@@ -703,6 +790,14 @@ def test_dense_gcd_equals_sympy_with_a_planted_factor(p, data):
     assert len(g) - 1 == expected.degree() >= G.total_degree()
     assert MultiPoly(1, {(k,): c for k, c in enumerate(g)}, p) == _from_sympy(expected, 1, p).normalized()
     assert all(type(c) is int for c in g)
+
+
+def test_dense_gcd_takes_integral_fractions():
+    # a list of Fractions with denominator 1 is converted to ints like any
+    # other, not passed on as Fractions
+    g = poly._dense_gcd([Fraction(2), Fraction(4)], [Fraction(1), Fraction(1)], None)
+    assert g == [1] and all(type(c) is int for c in g)
+    assert poly._dense_gcd([Fraction(-2), Fraction(4)], [Fraction(6), Fraction(-12)], None) == [-1, 2]
 
 
 def _degree_monomials(n, d):
